@@ -9,7 +9,8 @@ multivariate polynomial with rational coefficients.
 """
 
 from .scalars import (Assignment, ExprSyntaxError, Monomial, NegativeExponent,
-                      PolyScalar, Rational, UnboundParameter, parse_expr)
+                      PolyScalar, Rational, TensordagInputError,
+                      UnboundParameter, parse_expr)
 from .tensors import (CardinalityMismatch, OrderMismatch, Permutation,
                       PositionOutOfRange, Shape, ShapeMismatch, SlotOutOfRange,
                       Tensor, as_scalar, blow, bmp, forget, identitary,
@@ -33,7 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "ExprSyntaxError", "Monomial", "NegativeExponent",
-    "PolyScalar", "Rational", "UnboundParameter", "parse_expr",
+    "PolyScalar", "Rational", "TensordagInputError", "UnboundParameter",
+    "parse_expr",
     "CardinalityMismatch", "OrderMismatch", "Permutation", "PositionOutOfRange",
     "Shape", "ShapeMismatch", "SlotOutOfRange", "Tensor", "as_scalar", "blow",
     "bmp", "forget", "identitary", "outer_product", "sigma_transpose",

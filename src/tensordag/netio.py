@@ -43,11 +43,11 @@ from typing import Union
 
 from .networks import (ActivationSpec, ExplicitActivation, JukesCantor, NetworkSpec,
                        NodeSpec, QuantumThresholdOne, SourceVector, ThresholdOne)
-from .scalars import ExprSyntaxError, NegativeExponent, PolyScalar, parse_expr
+from .scalars import _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
 from .tensors import ShapeMismatch, Tensor
 
 
-class SchemaError(ValueError):
+class SchemaError(TensordagInputError):
     """Malformed network document; ``path`` locates the offending element."""
 
     def __init__(self, path: str, reason: str):
@@ -56,28 +56,28 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-class UnknownNodeId(ValueError):
+class UnknownNodeId(TensordagInputError):
     def __init__(self, node_id: str, context: str = ""):
         self.node_id = node_id
         suffix = f" ({context})" if context else ""
         super().__init__(f"unknown node id '{node_id}'{suffix}")
 
 
-class DuplicateNodeId(ValueError):
+class DuplicateNodeId(TensordagInputError):
     def __init__(self, node_id: str):
         self.node_id = node_id
         super().__init__(f"duplicate node id '{node_id}'")
 
 
-class EntryCountMismatch(ValueError):
+class EntryCountMismatch(TensordagInputError):
     def __init__(self, path: str, expected: int, got: int):
         self.path = path
         self.expected = expected
         self.got = got
-        super().__init__(f"{path}: expected {expected} entries, got {got}")
+        super().__init__(f"{path}: expected {count_text(expected)} entries, got {got}")
 
 
-class TensorSyntaxError(ValueError):
+class TensorSyntaxError(TensordagInputError):
     """Malformed tensor text; carries the 1-based line number."""
 
     def __init__(self, line: int, reason: str):
@@ -86,7 +86,7 @@ class TensorSyntaxError(ValueError):
         super().__init__(f"line {line}: {reason}")
 
 
-class AssignmentSyntaxError(ValueError):
+class AssignmentSyntaxError(TensordagInputError):
     """Malformed ``name=value`` assignment list."""
 
 
@@ -113,7 +113,7 @@ def _parse_entry(text: object, path: str) -> PolyScalar:
         raise SchemaError(path, f"expected an expression string, got {type(text).__name__}")
     try:
         return parse_expr(text)
-    except (ExprSyntaxError, NegativeExponent) as err:
+    except TensordagInputError as err:
         raise SchemaError(path, f"bad expression {text!r}: {err}") from err
 
 
@@ -121,7 +121,7 @@ def _parse_activation(obj: object, p: int, arity: int, path: str) -> ActivationS
     if not isinstance(obj, dict):
         raise SchemaError(path, "activation must be an object")
     kind = obj.get("type")
-    if kind not in _ACTIVATION_KEYS:
+    if not isinstance(kind, str) or kind not in _ACTIVATION_KEYS:
         known = ", ".join(sorted(_ACTIVATION_KEYS))
         raise SchemaError(f"{path}.type", f"expected one of {known}, got {kind!r}")
     keys = _ACTIVATION_KEYS[kind]
@@ -210,8 +210,10 @@ def parse_network(text: str) -> NetworkSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError("$", f"invalid JSON: {err}") from err
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
     return parse_network_document(doc)
 
 
@@ -289,8 +291,7 @@ def parse_tensor(text: str) -> Tensor:
     if not shape or any(dim < 1 for dim in shape):
         raise TensorSyntaxError(header_no, f"dimensions must be positive, got {shape}")
 
-    zero = PolyScalar.zero()
-    cells = [zero] * math.prod(shape)
+    cells = [_ZERO] * math.prod(shape)
     seen: set[int] = set()
     strides = []
     acc = 1
@@ -324,7 +325,7 @@ def parse_tensor(text: str) -> Tensor:
         seen.add(flat)
         try:
             cells[flat] = parse_expr(right.strip())
-        except (ExprSyntaxError, NegativeExponent) as err:
+        except TensordagInputError as err:
             raise TensorSyntaxError(line_no, f"bad expression: {err}") from err
     return Tensor(shape, cells)
 

@@ -33,22 +33,19 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from .scalars import PolyScalar
+from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
 from .tensors import Tensor, blow, forget, summand_ordered_bmp
 
 #: Materializing a tensor with more cells than this is refused by default;
 #: an order-d network costs n**d cells per node tensor.
 DEFAULT_CELL_CAP = 2 ** 24
 
-_ZERO = PolyScalar.zero()
-_ONE = PolyScalar.constant(1)
 
-
-class FamilyArityMismatch(ValueError):
+class FamilyArityMismatch(TensordagInputError):
     """An activation family's arity or in-degree constraint is violated."""
 
 
-class CycleDetected(Exception):
+class CycleDetected(TensordagInputError):
     """The directed graph has a cycle, so no topological order exists."""
 
     def __init__(self, cycle: Sequence[str]):
@@ -56,7 +53,7 @@ class CycleDetected(Exception):
         super().__init__("cycle: " + " -> ".join(self.cycle))
 
 
-class InvalidNetwork(Exception):
+class InvalidNetwork(TensordagInputError):
     """A network operation was applied to a spec with validation violations."""
 
     def __init__(self, violations: Sequence["Violation"]):
@@ -65,7 +62,7 @@ class InvalidNetwork(Exception):
         super().__init__(f"invalid network: {lines}")
 
 
-class CellCapExceeded(Exception):
+class CellCapExceeded(TensordagInputError):
     """An order-d tensor over n states would exceed the configured cell cap."""
 
     def __init__(self, order: int, arity: int, cap: int):
@@ -74,7 +71,7 @@ class CellCapExceeded(Exception):
         self.cap = cap
         super().__init__(
             f"a cubical order-{order} tensor over {arity} states has "
-            f"{arity ** order} cells, above the cap of {cap}")
+            f"{count_text(arity ** order)} cells, above the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ def _family_issue(activation: ActivationSpec, p: int, n: int) -> tuple[str, str]
         if len(activation.entries) != expected:
             return ("OrderMismatch",
                     f"explicit activation for {p} parents over {n} states needs "
-                    f"{expected} entries, got {len(activation.entries)}")
+                    f"{count_text(expected)} entries, got {len(activation.entries)}")
     else:
         return ("FamilyArityMismatch", f"unknown activation {type(activation).__name__}")
     return None
@@ -392,10 +389,20 @@ class PreparedNetwork:
     Offers per-cell evaluation of node tensors and both totals without
     materializing anything, which is how verification can sample networks
     whose full tensors would exceed the cell cap.
+
+    With ``max_cells`` given, a network whose order-d tensors would hold
+    more cells than that is refused after validation and before any
+    activation tensor is built; every activation has at most n**d cells.
+
+    Raises:
+        InvalidNetwork: the spec has validation violations.
+        CellCapExceeded: ``arity ** d`` exceeds ``max_cells``.
     """
 
-    def __init__(self, spec: NetworkSpec):
+    def __init__(self, spec: NetworkSpec, max_cells: int | None = None):
         ensure_valid(spec)
+        if max_cells is not None and spec.arity ** spec.node_count > max_cells:
+            raise CellCapExceeded(spec.node_count, spec.arity, max_cells)
         self.spec = spec
         self.arity = spec.arity
         self.d = spec.node_count
@@ -405,10 +412,6 @@ class PreparedNetwork:
         self.activations: list[Tensor] = [
             activation_tensor(node.activation, len(node.parents), spec.arity)
             for node in spec.nodes]
-
-    def check_cap(self, max_cells: int) -> None:
-        if self.arity ** self.d > max_cells:
-            raise CellCapExceeded(self.d, self.arity, max_cells)
 
     def total_shape(self) -> tuple[int, ...]:
         return (self.arity,) * self.d
@@ -469,10 +472,9 @@ def node_pipeline(spec: NetworkSpec, index: int,
         CellCapExceeded: the order-d node tensor would exceed ``max_cells``.
         IndexError: ``index`` is out of range.
     """
-    prepared = PreparedNetwork(spec)
+    prepared = PreparedNetwork(spec, max_cells)
     if not 0 <= index < prepared.d:
         raise IndexError(f"node index {index} out of range for {prepared.d} nodes")
-    prepared.check_cap(max_cells)
     return _pipeline(prepared, index)
 
 
@@ -490,8 +492,7 @@ def _pipeline(prepared: PreparedNetwork, i: int) -> NodePipeline:
 
 def node_tensors(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> list[Tensor]:
     """All order-d node tensors B_0..B_{d-1} in node order."""
-    prepared = PreparedNetwork(spec)
-    prepared.check_cap(max_cells)
+    prepared = PreparedNetwork(spec, max_cells)
     return [_pipeline(prepared, i).node_tensor for i in range(prepared.d)]
 
 
@@ -499,8 +500,7 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
     """Total tensor by the direct definition: per cell, multiply the matching
     activation entry of every node.  This is the oracle the product route is
     verified against."""
-    prepared = PreparedNetwork(spec)
-    prepared.check_cap(max_cells)
+    prepared = PreparedNetwork(spec, max_cells)
     return Tensor.from_function(prepared.total_shape(), prepared.total_direct_cell)
 
 

@@ -26,6 +26,7 @@ evaluation are deterministic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -42,7 +43,27 @@ Coefficient = Union[int, Fraction]
 Assignment = Mapping[str, Union[int, Fraction, float]]
 
 
-class UnboundParameter(ValueError):
+#: An exact power whose result would need more bits than this is refused
+#: before it is computed: about 315 000 decimal digits, far beyond the 4300
+#: that Python prints by default.
+_MAX_POWER_BITS = 1 << 20
+
+#: Deepest nesting of parentheses and unary minus signs that
+#: `parse_expr` accepts.  The parser recurses once per level, so the
+#: bound keeps it well under the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
+class TensordagInputError(ValueError):
+    """Base of every error that bad input can cause: malformed text, an
+    invalid network, or a value too large to compute or print.
+
+    The command line maps exactly these errors (and file-reading errors) to
+    exit code 2.
+    """
+
+
+class UnboundParameter(TensordagInputError):
     """A parameter of the polynomial has no value in the assignment."""
 
     def __init__(self, name: str):
@@ -50,7 +71,7 @@ class UnboundParameter(ValueError):
         super().__init__(f"no value bound for parameter {name!r}")
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(TensordagInputError):
     """Malformed expression text, with the offset where parsing failed."""
 
     def __init__(self, position: int, expected: str, found: str):
@@ -60,12 +81,51 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"at offset {position}: expected {expected}, found {found}")
 
 
-class NegativeExponent(ValueError):
+class NegativeExponent(TensordagInputError):
     """Exponents must be nonnegative integers; the grammar has no inverses."""
 
     def __init__(self, position: int):
         self.position = position
         super().__init__(f"at offset {position}: negative exponent is not allowed")
+
+
+def _size_bits(value: int | Fraction | float) -> int:
+    """Bits that ``value ** k`` needs per unit of ``k``, at least; 0 for a float."""
+    if isinstance(value, float):
+        return 0
+    if isinstance(value, Fraction):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    else:
+        bits = abs(value).bit_length()
+    # |value| >= 2**(bits-1), so value**k has at least (bits-1)*k bits.
+    return max(bits - 1, 0)
+
+
+def _too_large(bits: int) -> TensordagInputError:
+    return TensordagInputError(
+        f"an exact power of at least {bits} bits is too large to compute"
+        f" (the limit is {_MAX_POWER_BITS})")
+
+
+def _unprintable() -> TensordagInputError:
+    return TensordagInputError(
+        f"a number of more than {sys.get_int_max_str_digits()} digits is too large to print")
+
+
+def exact_text(value: int | Fraction) -> str:
+    """``str(value)``, or an input error when it has too many digits to print."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _unprintable() from None
+
+
+def count_text(count: int) -> str:
+    """Decimal text of a count, or a bound on it when it has too many digits to print."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"over 10^{sys.get_int_max_str_digits()}"
 
 
 def _as_coefficient(value: int | Fraction) -> Coefficient:
@@ -231,6 +291,10 @@ class PolyScalar:
     def __pow__(self, exponent: int) -> "PolyScalar":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        for coeff in self._terms.values():
+            size = _size_bits(coeff) * exponent
+            if size > _MAX_POWER_BITS:
+                raise _too_large(size)
         result = _ONE
         base = self
         e = exponent
@@ -269,20 +333,36 @@ class PolyScalar:
 
         Raises:
             UnboundParameter: a parameter of the polynomial has no binding.
+            TensordagInputError: the exact powers in one term would together
+                need over _MAX_POWER_BITS bits, or a float result overflows.
         """
+        sizes = {name: _size_bits(value) for name, value in assignment.items()}
         total: int | Fraction | float = 0
-        for mono, coeff in self.terms():
-            value: int | Fraction | float = coeff
-            for name, power in mono:
-                if name not in assignment:
-                    raise UnboundParameter(name)
-                value = value * assignment[name] ** power
-            total = total + value
+        try:
+            for mono, coeff in self.terms():
+                value: int | Fraction | float = coeff
+                size = 0
+                for name, power in mono:
+                    if name not in sizes:
+                        raise UnboundParameter(name)
+                    size += sizes[name] * power
+                    if size > _MAX_POWER_BITS:
+                        raise _too_large(size)
+                    value = value * assignment[name] ** power
+                total = total + value
+        except OverflowError:
+            raise TensordagInputError("the value overflows the float range") from None
         return total
 
     # -- text form -------------------------------------------------------
 
     def __str__(self) -> str:
+        try:
+            return self._text()
+        except ValueError:  # a coefficient over the int-to-text digit limit
+            raise _unprintable() from None
+
+    def _text(self) -> str:
         if not self._terms:
             return "0"
         pieces: list[str] = []
@@ -348,7 +428,7 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 #
 # Whitespace is insignificant.  Division appears only between integer
 # literals (rational constants); general division and negative exponents are
-# rejected.
+# rejected.  Parentheses and unary minus nest at most _MAX_NESTING deep.
 # ---------------------------------------------------------------------------
 
 
@@ -356,6 +436,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -376,7 +457,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.fail("an unsigned integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ExprSyntaxError(
+                start, f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                f"{self.pos - start} digits") from None
 
     def take_ident(self) -> str:
         self.skip_ws()
@@ -419,15 +505,19 @@ class _Parser:
 
     def atom(self) -> PolyScalar:
         ch = self.peek()
-        if ch == "-":
+        if ch == "-" or ch == "(":
+            if self.depth == _MAX_NESTING:
+                raise self.fail(f"at most {_MAX_NESTING} nested parentheses and minus signs")
+            self.depth += 1
             self.pos += 1
-            return -self.atom()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise self.fail("')'")
-            self.pos += 1
+            if ch == "-":
+                value = -self.atom()
+            else:
+                value = self.expr()
+                if self.peek() != ")":
+                    raise self.fail("')'")
+                self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             numerator = self.take_uint()
@@ -450,8 +540,11 @@ def parse_expr(text: str) -> PolyScalar:
     ``parse_expr(str(p)) == p`` holds for every PolyScalar ``p``.
 
     Raises:
-        ExprSyntaxError: the text does not conform to the grammar.
+        ExprSyntaxError: the text does not conform to the grammar, nests
+            parentheses and minus signs more than 100 deep, or has an
+            integer literal too long to convert.
         NegativeExponent: a ``^`` is followed by a minus sign.
+        TensordagInputError: a power is too large to compute exactly.
     """
     parser = _Parser(text)
     value = parser.expr()

@@ -28,20 +28,17 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalars import PolyScalar, parse_expr
+from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, parse_expr
 
 #: Tensor shape: one positive dimension per axis.
 Shape = tuple[int, ...]
 
-_ZERO = PolyScalar.zero()
-_ONE = PolyScalar.constant(1)
 
-
-class OrderMismatch(ValueError):
+class OrderMismatch(TensordagInputError):
     """An argument tensor does not have the order the operation requires."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(TensordagInputError):
     """Dimensions are inconsistent with the operation's shape contract."""
 
     def __init__(self, message: str, *, arg: int | None = None, slot: int | None = None,
@@ -53,15 +50,15 @@ class ShapeMismatch(ValueError):
         super().__init__(message)
 
 
-class SlotOutOfRange(ValueError):
+class SlotOutOfRange(TensordagInputError):
     """An identitary slot pair does not satisfy 0 <= j < k < order."""
 
 
-class PositionOutOfRange(ValueError):
+class PositionOutOfRange(TensordagInputError):
     """A forget position falls outside the result's axis range."""
 
 
-class CardinalityMismatch(ValueError):
+class CardinalityMismatch(TensordagInputError):
     """The number of inserted dimensions disagrees with the positions."""
 
 

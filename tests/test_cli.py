@@ -1,8 +1,12 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import json
+
 import pytest
 
-from tensordag import Tensor, networks
+import tensordag
+from tensordag import PolyScalar, Tensor, TensordagInputError, networks
+from tensordag.networks import VerificationResult
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -276,3 +280,102 @@ class TestDeterminism:
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert (first.code, first.out, first.err) == (second.code, second.out, second.err)
+
+
+def _source_document(entry: str) -> str:
+    """A one-node network whose source vector is ``[entry, 1]``."""
+    return json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "parents": [], "activation": {"type": "vector", "entries": [entry, "1"]}}]})
+
+
+def _threshold_sink_document(parents: int) -> str:
+    sources = [{"id": f"s{i}", "parents": [],
+                "activation": {"type": "vector", "entries": ["1", "1"]}} for i in range(parents)]
+    sink = {"id": "t", "parents": [s["id"] for s in sources],
+            "activation": {"type": "threshold_one", "alpha": "alpha"}}
+    return json.dumps({"arity": 2, "nodes": sources + [sink]})
+
+
+def _jukes_cantor_document(arity: int) -> str:
+    return json.dumps({"arity": arity, "nodes": [
+        {"id": "b", "parents": [], "activation": {"type": "vector", "entries": ["1"] * arity}},
+        {"id": "c", "parents": ["b"],
+         "activation": {"type": "jukes_cantor", "alpha": "alpha", "beta": "beta"}}]})
+
+
+def _sources_document(count: int, arity: int) -> str:
+    return json.dumps({"arity": arity, "nodes": [
+        {"id": f"n{i}", "activation": {"type": "vector", "entries": ["1"] * arity}}
+        for i in range(count)]})
+
+
+# (id, file content, argv after the file name, activation tensors forbidden)
+HOSTILE_INPUTS = [
+    ("deep-parentheses", _source_document("(" * 1200 + "a" + ")" * 1200), ["validate"], False),
+    ("deep-unary-minus", _source_document("-" * 5000 + "a"), ["validate"], False),
+    ("deep-json", "[" * 100_000 + "]" * 100_000, ["validate"], False),
+    ("non-utf8", b'\xff\xfe{"arity": 2}', ["validate"], False),
+    ("long-integer-literal", _source_document("1" * 5000), ["validate"], False),
+    ("long-json-integer", '{"arity": 1' + "0" * 5000 + ', "nodes": []}', ["validate"], False),
+    ("unhashable-activation-type", json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "activation": {"type": ["vector"], "entries": ["1", "1"]}}]}),
+     ["validate"], False),
+    ("entry-count-too-long-to-print", json.dumps({"arity": 10, "nodes": [
+        {"id": "x", "parents": [f"p{i}" for i in range(4400)],
+         "activation": {"type": "explicit", "entries": []}}]}),
+     ["validate"], False),
+    ("float-overflow", _source_document("alpha^20000"),
+     ["total", "--method", "direct", "--assign", "alpha=2.0"], False),
+    ("unprintable-evaluated-number", _source_document("alpha^20000"),
+     ["total", "--method", "direct", "--assign", "alpha=2"], False),
+    ("unprintable-coefficient", _source_document("2^20000"),
+     ["total", "--method", "direct"], False),
+    ("huge-exponent", _source_document("alpha^99999999999"),
+     ["total", "--method", "direct", "--assign", "alpha=2"], False),
+    ("huge-constant-power", _source_document("2^99999999999"), ["validate"], False),
+    ("cap-before-threshold-activation", _threshold_sink_document(20),
+     ["total", "--method", "verify", "--max-cells", "100"], True),
+    ("cap-before-jukes-cantor-activation", _jukes_cantor_document(2500),
+     ["total", "--method", "verify", "--max-cells", "10"], True),
+    ("cap-cell-count-too-long-to-print", _sources_document(4400, 10),
+     ["total", "--method", "verify"], True),
+]
+
+
+@pytest.mark.parametrize("content, argv, no_activations",
+                         [row[1:] for row in HOSTILE_INPUTS],
+                         ids=[row[0] for row in HOSTILE_INPUTS])
+def test_hostile_input_exits_two_with_one_error_line(run_cli, tmp_path, monkeypatch,
+                                                     content, argv, no_activations):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    if no_activations:
+        def refuse(*args):
+            raise AssertionError("activation tensor built before the cell cap was checked")
+
+        monkeypatch.setattr(networks, "activation_tensor", refuse)
+    result = run_cli(argv[0], str(path), *argv[1:])
+    assert result.code == 2
+    lines = result.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in result.err
+
+
+def test_difference_too_large_to_print_still_exits_one(run_cli, tmp_path, monkeypatch):
+    path = tmp_path / "input.json"
+    path.write_text(_source_document("1"))
+    huge = PolyScalar.constant(10 ** 5000)  # more digits than str() converts
+    monkeypatch.setattr(networks, "verify_totals", lambda spec, max_cells: VerificationResult(
+        equal=False, cells=2, first_difference=((1,), huge, huge + 1)))
+    result = run_cli("total", str(path), "--method", "verify")
+    assert (result.code, result.out, result.err) == (1, "DIFFER at 2\n", "")
+
+
+def test_every_exported_exception_is_an_input_error():
+    exported = [getattr(tensordag, name) for name in tensordag.__all__]
+    errors = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(errors) == 19  # the base class and the 18 errors derived from it
+    assert all(issubclass(error, TensordagInputError) for error in errors)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tensordag import (ExprSyntaxError, NegativeExponent, PolyScalar,
-                       UnboundParameter, parse_expr)
+                       TensordagInputError, UnboundParameter, parse_expr)
 
 ALPHA = PolyScalar.parameter("alpha")
 BETA = PolyScalar.parameter("beta")
@@ -143,6 +143,24 @@ class TestEvaluation:
         values = {"alpha": 0.1, "beta": 0.3}
         assert p.evaluate(values) == p.evaluate(values)
 
+    def test_huge_powers_are_refused_before_they_are_computed(self):
+        huge = ALPHA ** 99_999_999_999
+        assert huge.evaluate({"alpha": -1}) == -1
+        assert huge.evaluate({"alpha": 0.5}) == 0.0
+        for value in (2, Fraction(1, 2)):
+            with pytest.raises(TensordagInputError):
+                huge.evaluate({"alpha": value})
+        with pytest.raises(TensordagInputError):
+            huge.evaluate({"alpha": 2.0})  # float overflow
+
+    def test_power_limit_covers_a_whole_term(self):
+        # Each factor alone stays under the limit; together they pass it.
+        term = parse_expr("alpha^600000*beta^600000")
+        assert (ALPHA ** 600_000).evaluate({"alpha": 2}) == 2 ** 600_000
+        with pytest.raises(TensordagInputError):
+            term.evaluate({"alpha": 2, "beta": 2})
+        assert term.evaluate({"alpha": 2, "beta": 1}) == 2 ** 600_000
+
 
 class TestParsing:
     def test_single_monomial(self):
@@ -182,6 +200,13 @@ class TestParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("alpha beta")
+
+    def test_nesting_depth_is_bounded(self):
+        assert parse_expr("(" * 100 + "alpha" + ")" * 100) == ALPHA
+        assert parse_expr("-(" * 50 + "alpha" + ")" * 50) == ALPHA
+        for text in ("(" * 101 + "alpha" + ")" * 101, "-" * 101 + "alpha"):
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text)
 
 
 class TestSerialization:
