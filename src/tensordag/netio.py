@@ -37,14 +37,13 @@ rationals (``2``, ``-1/3``) or decimals (``0.25``, parsed as binary64).
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Union
 
-from .networks import (ActivationSpec, ExplicitActivation, JukesCantor, NetworkSpec,
-                       NodeSpec, QuantumThresholdOne, SourceVector, ThresholdOne)
+from .networks import (DEFAULT_CELL_CAP, ActivationSpec, ExplicitActivation, JukesCantor,
+                       NetworkSpec, NodeSpec, QuantumThresholdOne, SourceVector, ThresholdOne)
 from .scalars import _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
-from .tensors import ShapeMismatch, Tensor
+from .tensors import ShapeMismatch, Tensor, _strides
 
 
 class SchemaError(TensordagInputError):
@@ -268,8 +267,9 @@ def parse_tensor(text: str) -> Tensor:
     """Parse a tensor text block; absent cells are zero.
 
     Raises:
-        TensorSyntaxError: malformed header, cell line, or expression, or a
-            duplicated cell, with the 1-based line number.
+        TensorSyntaxError: malformed header, cell line, or expression, a
+            duplicated cell, or a shape of more than ``DEFAULT_CELL_CAP``
+            cells, with the 1-based line number.
         ShapeMismatch: a cell index falls outside the declared shape.
     """
     lines = text.splitlines()
@@ -291,14 +291,14 @@ def parse_tensor(text: str) -> Tensor:
     if not shape or any(dim < 1 for dim in shape):
         raise TensorSyntaxError(header_no, f"dimensions must be positive, got {shape}")
 
-    cells = [_ZERO] * math.prod(shape)
+    ncells = 1
+    for dim in shape:  # checked per axis, so a long header of huge dimensions stays cheap
+        ncells *= dim
+        if ncells > DEFAULT_CELL_CAP:
+            raise TensorSyntaxError(header_no, f"shape has more than {DEFAULT_CELL_CAP} cells")
+    cells = [_ZERO] * ncells
     seen: set[int] = set()
-    strides = []
-    acc = 1
-    for dim in reversed(shape):
-        strides.append(acc)
-        acc *= dim
-    strides.reverse()
+    strides = _strides(shape)
 
     for line_no, line in enumerate(lines[header_no:], start=header_no + 1):
         body = line.strip()

@@ -34,7 +34,7 @@ from itertools import product
 from typing import Iterable, Sequence, Union
 
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
-from .tensors import Tensor, blow, forget, summand_ordered_bmp
+from .tensors import Tensor, _product, blow, forget, summand_ordered_bmp
 
 #: Materializing a tensor with more cells than this is refused by default;
 #: an order-d network costs n**d cells per node tensor.
@@ -386,9 +386,9 @@ class NodePipeline:
 class PreparedNetwork:
     """A validated network with precomputed lookup tables.
 
-    Offers per-cell evaluation of node tensors and both totals without
-    materializing anything, which is how verification can sample networks
-    whose full tensors would exceed the cell cap.
+    Its per-cell methods evaluate single cells of node tensors and of both
+    totals without materializing any tensor; the tests compare both routes
+    against them.
 
     With ``max_cells`` given, a network whose order-d tensors would hold
     more cells than that is refused after validation and before any
@@ -416,16 +416,13 @@ class PreparedNetwork:
     def total_shape(self) -> tuple[int, ...]:
         return (self.arity,) * self.d
 
+    def _entry(self, j: int, idx: tuple[int, ...]) -> PolyScalar:
+        """Activation entry of node j selected by the states in a total index."""
+        return self.activations[j][tuple(idx[p] for p in self.parent_positions[j]) + (idx[j],)]
+
     def total_direct_cell(self, idx: tuple[int, ...]) -> PolyScalar:
         """Direct-formula cell: product of one activation entry per node."""
-        value = _ONE
-        for j in range(self.d):
-            entry = self.activations[j][
-                tuple(idx[p] for p in self.parent_positions[j]) + (idx[j],)]
-            if entry.is_zero():
-                return _ZERO
-            value = value * entry
-        return value
+        return _product(self._entry(j, idx) for j in range(self.d))
 
     def node_tensor_cell(self, i: int, idx: tuple[int, ...]) -> PolyScalar:
         """Cell of the order-d node tensor B_i, computed from the activation.
@@ -435,28 +432,18 @@ class PreparedNetwork:
         """
         if i < self.d - 1 and idx[0] != idx[i + 1]:
             return _ZERO
-        source = self.activations[i]
-        return source[tuple(idx[p] for p in self.parent_positions[i]) + (idx[i],)]
+        return self._entry(i, idx)
 
     def total_bmp_cell(self, idx: tuple[int, ...]) -> PolyScalar:
         """Product-formula cell evaluated lazily: one contracted sum."""
         if self.d == 1:
             return self.node_tensor_cell(0, idx)
-        acc = _ZERO
-        for h in range(self.arity):
-            # Factor at summand position m is contracted in axis m: the sink
-            # tensor at m = 0, node tensor B_{m-1} for m >= 1.
-            term = self.node_tensor_cell(self.d - 1, (h,) + idx[1:])
-            if term.is_zero():
-                continue
-            for m in range(1, self.d):
-                factor = self.node_tensor_cell(m - 1, idx[:m] + (h,) + idx[m + 1:])
-                if factor.is_zero():
-                    term = _ZERO
-                    break
-                term = term * factor
-            acc = acc + term
-        return acc
+        # Factor at summand position m is contracted in axis m: the sink
+        # tensor at m = 0, node tensor B_{m-1} for m >= 1.
+        terms = (_product(self.node_tensor_cell((m - 1) % self.d, idx[:m] + (h,) + idx[m + 1:])
+                          for m in range(self.d))
+                 for h in range(self.arity))
+        return sum(terms, _ZERO)
 
 
 def node_pipeline(spec: NetworkSpec, index: int,
@@ -512,8 +499,6 @@ def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     activation vector unchanged.
     """
     bs = node_tensors(spec, max_cells)
-    if len(bs) == 1:
-        return bs[0]
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
 
 
@@ -539,7 +524,7 @@ def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
     reports = []
     for node, tensor in zip(spec.nodes, prepared.activations):
         failing = None
-        for combo in _input_combinations(tensor):
+        for combo in product(range(spec.arity), repeat=tensor.order - 1):
             marginal = _ZERO
             for out in range(spec.arity):
                 marginal = marginal + tensor[combo + (out,)]
@@ -551,10 +536,6 @@ def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
         else:
             reports.append(StochasticCheck(node.id, False, failing[0], failing[1]))
     return reports
-
-
-def _input_combinations(tensor: Tensor):
-    return product(*(range(dim) for dim in tensor.shape[:-1]))
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,18 @@ The module provides the operations the rest of the package is built from:
 * :func:`outer_product` - rank-1 tensor from a list of vectors.
 
 All operations are pure; tensors are immutable after construction.
+The expansions and :func:`bmp` gather cells by the unchecked offsets of
+``_offsets``; the direct route reads only through the bounds-checked
+``Tensor[...]``, so the two total routes share no index arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, parse_expr
@@ -104,10 +109,26 @@ class Permutation:
 
 
 def _strides(shape: Shape) -> tuple[int, ...]:
-    strides = [1] * len(shape)
-    for axis in range(len(shape) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * shape[axis + 1]
-    return tuple(strides)
+    return tuple(accumulate(shape[:0:-1], mul, initial=1))[::-1]
+
+
+def _offsets(shape: Shape, strides: Sequence[int]) -> Iterator[int]:
+    """Lazily yield ``sum(x[a] * strides[a])`` for every index x of ``shape``, row-major.
+
+    A stride of 0 ignores its axis; strides +1 and -1 on axes j and k give
+    offset 0 exactly where ``x[j] == x[k]``.
+    """
+    return map(sum, product(*([i * s for i in range(dim)] for dim, s in zip(shape, strides))))
+
+
+def _product(cells: Iterable[PolyScalar]) -> PolyScalar:
+    """Multiply the cells in order, returning zero as soon as one of them is zero."""
+    value = _ONE
+    for cell in cells:
+        if cell.is_zero():
+            return _ZERO
+        value = cell if value is _ONE else value * cell
+    return value
 
 
 class Tensor:
@@ -122,9 +143,7 @@ class Tensor:
         if any(dim < 1 for dim in shape):
             raise ValueError(f"all dimensions must be >= 1, got {shape}")
         cells = tuple(as_scalar(c) for c in cells)
-        expected = 1
-        for dim in shape:
-            expected *= dim
+        expected = math.prod(shape)
         if len(cells) != expected:
             raise ValueError(f"shape {shape} needs {expected} cells, got {len(cells)}")
         object.__setattr__(self, "shape", shape)
@@ -252,31 +271,15 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
                     arg=k, slot=axis, expected=expected, got=factors[k].shape[axis])
         result_shape[axis] = expected
 
-    strides = [t._strides for t in factors]
-    contracted_strides = [strides[k][contracted[k]] for k in range(d)]
-    cells: list[PolyScalar] = []
-    for idx in product(*(range(dim) for dim in result_shape)):
-        # Offset of each factor's cell with the contracted coordinate at 0.
-        bases = []
-        for k in range(d):
-            s = strides[k]
-            base = 0
-            for axis in range(d):
-                if axis != contracted[k]:
-                    base += idx[axis] * s[axis]
-            bases.append(base)
-        acc = _ZERO
-        for h in range(l):
-            term = _ONE
-            for k in range(d):
-                cell = factors[k].cells[bases[k] + h * contracted_strides[k]]
-                if cell.is_zero():
-                    term = None
-                    break
-                term = term * cell
-            if term is not None:
-                acc = acc + term
-        cells.append(acc)
+    # Per factor: offsets with the contracted coordinate at 0, and its stride.
+    bases = [_offsets(result_shape, [0 if axis == contracted[k] else s
+                                     for axis, s in enumerate(t._strides)])
+             for k, t in enumerate(factors)]
+    steps = [t._strides[contracted[k]] for k, t in enumerate(factors)]
+    factor_cells = [t.cells for t in factors]
+    cells = [sum((_product(c[b + h * s] for c, b, s in zip(factor_cells, base, steps))
+                  for h in range(l)), _ZERO)
+             for base in zip(*bases)]
     return Tensor(tuple(result_shape), cells)
 
 
@@ -292,8 +295,6 @@ def summand_ordered_bmp(factors: Sequence[Tensor]) -> Tensor:
     and the one the network layer uses, with the sink tensor first.
     """
     factors = list(factors)
-    if len(factors) <= 1:
-        return bmp(factors)
     return bmp(factors[1:] + factors[:1])
 
 
@@ -310,7 +311,10 @@ def identitary(order: int, dim: int, j: int, k: int) -> Tensor:
     """
     if not (0 <= j < k < order):
         raise SlotOutOfRange(f"need 0 <= j < k < order, got j={j}, k={k}, order={order}")
-    return Tensor.from_function((dim,) * order, lambda idx: _ONE if idx[j] == idx[k] else _ZERO)
+    strides = [0] * order
+    strides[j], strides[k] = 1, -1  # offset 0 exactly where idx[j] == idx[k]
+    shape = (dim,) * order
+    return Tensor(shape, [_ONE if tie == 0 else _ZERO for tie in _offsets(shape, strides)])
 
 
 def sigma_transpose(t: Tensor, sigma: Permutation) -> Tensor:
@@ -325,8 +329,8 @@ def sigma_transpose(t: Tensor, sigma: Permutation) -> Tensor:
         raise OrderMismatch(f"permutation of length {len(sigma)} applied to order-{t.order} tensor")
     inverse = sigma.inverse()
     shape = tuple(t.shape[inverse(k)] for k in range(t.order))
-    images = sigma.images
-    return Tensor.from_function(shape, lambda idx: t[tuple(idx[m] for m in images)])
+    strides = [t._strides[inverse(k)] for k in range(t.order)]
+    return Tensor(shape, map(t.cells.__getitem__, _offsets(shape, strides)))
 
 
 def blow(t: Tensor) -> Tensor:
@@ -337,7 +341,9 @@ def blow(t: Tensor) -> Tensor:
     input.  The blow of a vector is the diagonal matrix carrying it.
     """
     shape = t.shape + (t.shape[0],)
-    return Tensor.from_function(shape, lambda idx: t[idx[:-1]] if idx[0] == idx[-1] else _ZERO)
+    flats = _offsets(shape, t._strides + (0,))
+    gaps = _offsets(shape, (1,) + (0,) * (t.order - 1) + (-1,))  # 0 where idx[0] == idx[-1]
+    return Tensor(shape, [t.cells[flat] if gap == 0 else _ZERO for flat, gap in zip(flats, gaps)])
 
 
 def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -> Tensor:
@@ -375,16 +381,10 @@ def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -
         raise ValueError(f"inserted dimensions must be >= 1, got {inserted_dims}")
 
     inserted = dict(zip(positions, inserted_dims))
-    shape: list[int] = []
-    source_axis = 0
-    for axis in range(result_order):
-        if axis in inserted:
-            shape.append(inserted[axis])
-        else:
-            shape.append(t.shape[source_axis])
-            source_axis += 1
-    kept = [axis for axis in range(result_order) if axis not in inserted]
-    return Tensor.from_function(tuple(shape), lambda idx: t[tuple(idx[a] for a in kept)])
+    source = iter(zip(t.shape, t._strides))
+    shape, strides = zip(*((inserted[axis], 0) if axis in inserted else next(source)
+                           for axis in range(result_order)))
+    return Tensor(shape, map(t.cells.__getitem__, _offsets(shape, strides)))
 
 
 def outer_product(vectors: Sequence[Tensor]) -> Tensor:
@@ -400,14 +400,4 @@ def outer_product(vectors: Sequence[Tensor]) -> Tensor:
         if v.order != 1:
             raise OrderMismatch(f"argument {k} has order {v.order}, expected 1")
     shape = tuple(v.shape[0] for v in vectors)
-
-    def cell(idx: tuple[int, ...]) -> PolyScalar:
-        value = _ONE
-        for k, i in enumerate(idx):
-            factor = vectors[k].cells[i]
-            if factor.is_zero():
-                return _ZERO
-            value = value * factor
-        return value
-
-    return Tensor.from_function(shape, cell)
+    return Tensor(shape, map(_product, product(*(v.cells for v in vectors))))

@@ -339,6 +339,8 @@ HOSTILE_INPUTS = [
      ["total", "--method", "verify", "--max-cells", "10"], True),
     ("cap-cell-count-too-long-to-print", _sources_document(4400, 10),
      ["total", "--method", "verify"], True),
+    ("tensor-shape-above-cap", "shape: 99999999999999999999 x 99999999999999999999\n",
+     ["bmp"], False),
 ]
 
 

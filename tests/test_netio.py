@@ -206,6 +206,10 @@ class TestTensorText:
         with pytest.raises(TensorSyntaxError):
             parse_tensor("shape: 2 x 0\n")
 
+    def test_shape_above_the_cell_cap(self):
+        with pytest.raises(TensorSyntaxError):
+            parse_tensor("shape: 4097 x 4096\n")
+
     def test_index_out_of_range_is_a_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             parse_tensor("shape: 2 x 2\n3,1 = alpha\n")

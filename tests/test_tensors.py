@@ -1,9 +1,12 @@
 """Tensor construction, the d-ary product, identitaries, transposes, blow/forget."""
 
+import math
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from tensordag import (CardinalityMismatch, OrderMismatch, Permutation, PolyScalar,
                        PositionOutOfRange, ShapeMismatch, SlotOutOfRange, Tensor,
@@ -436,3 +439,85 @@ class TestOuterProduct:
     def test_requires_vectors(self):
         with pytest.raises(OrderMismatch):
             outer_product([Tensor.from_nested([[1, 2], [3, 4]])])
+
+
+# Reference equivalence: each operation against the per-cell formula in its
+# docstring, evaluated through the bounds-checked ``Tensor[...]``.
+
+dims = st.integers(1, 3)
+shapes = st.lists(dims, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def int_tensors(draw, shape=None):
+    shape = draw(shapes) if shape is None else shape
+    n = math.prod(shape)
+    return Tensor(shape, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forget(self, data):
+        t = data.draw(int_tensors())
+        count = data.draw(st.integers(1, 3))
+        order = t.order + count
+        positions = data.draw(st.lists(st.integers(0, order - 1), min_size=count,
+                                       max_size=count, unique=True))
+        new_dims = data.draw(st.lists(dims, min_size=count, max_size=count))
+        inserted = dict(zip(sorted(positions), new_dims))
+        kept = iter(t.shape)
+        shape = tuple(inserted[a] if a in inserted else next(kept) for a in range(order))
+        expected = Tensor.from_function(
+            shape, lambda idx: t[tuple(i for a, i in enumerate(idx) if a not in inserted)])
+        assert forget(t, positions, new_dims) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_tensors())
+    def test_blow(self, t):
+        expected = Tensor.from_function(
+            t.shape + (t.shape[0],), lambda idx: t[idx[:-1]] if idx[0] == idx[-1] else 0)
+        assert blow(t) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sigma_transpose(self, data):
+        t = data.draw(int_tensors())
+        sigma = Permutation(tuple(data.draw(st.permutations(range(t.order)))))
+        shape = tuple(t.shape[sigma.inverse()(k)] for k in range(t.order))
+        expected = Tensor.from_function(
+            shape, lambda x: t[tuple(x[sigma(m)] for m in range(t.order))])
+        assert sigma_transpose(t, sigma) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), dims)
+    def test_identitary(self, order, dim):
+        for j, k in combinations(range(order), 2):
+            expected = Tensor.from_function(
+                (dim,) * order, lambda idx: 1 if idx[j] == idx[k] else 0)
+            assert identitary(order, dim, j, k) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bmp(self, data):
+        d = data.draw(st.integers(2, 4))
+        shape = data.draw(st.lists(dims, min_size=d, max_size=d))
+        l = data.draw(dims)
+        factors = []
+        for k in range(d):
+            factor_shape = list(shape)
+            factor_shape[(k + 1) % d] = l
+            factors.append(data.draw(int_tensors(tuple(factor_shape))))
+
+        def cell(i):
+            total = PolyScalar.zero()
+            for h in range(l):
+                term = PolyScalar.constant(1)
+                for k, t in enumerate(factors):
+                    at = list(i)
+                    at[(k + 1) % d] = h
+                    term = term * t[tuple(at)]
+                total = total + term
+            return total
+
+        assert bmp(factors) == Tensor.from_function(shape, cell)
