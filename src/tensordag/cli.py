@@ -27,17 +27,6 @@ from . import networks, netio
 from .scalars import TensordagInputError, exact_text
 from .tensors import Tensor, bmp
 
-_FAMILY_LINES = [
-    "vector                 in-degree 0; 'entries' lists one weight per state",
-    "explicit               any in-degree; 'entries' lists all n^(p+1) cells row-major,"
-    " own state last",
-    "jukes_cantor           in-degree 1; 'alpha' on the diagonal, 'beta' off it",
-    "threshold_one          in-degree p, arity 2; output fires iff some parent fired;"
-    " obedient cells 'alpha', others 0",
-    "quantum_threshold_one  like threshold_one with disobedient cells 'beta' instead of 0",
-]
-
-
 def _read_network(path: str) -> networks.NetworkSpec:
     return netio.parse_network(Path(path).read_text(encoding="utf-8"))
 
@@ -55,15 +44,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for violation in violations:
             print(violation)
         return 2
+    checks = networks.stochastic_report(spec) if args.check_stochastic else []
     print("valid")
-    if args.check_stochastic:
-        for check in networks.stochastic_report(spec):
-            if check.stochastic:
-                print(f"stochastic {check.node}: yes")
-            else:
-                inputs = ",".join(str(i + 1) for i in check.failing_input) or "-"
-                print(f"stochastic {check.node}: no "
-                      f"(inputs {inputs} sum to {check.failing_sum})")
+    for check in checks:
+        if check.stochastic:
+            print(f"stochastic {check.node}: yes")
+        else:
+            inputs = ",".join(str(i + 1) for i in check.failing_input) or "-"
+            print(f"stochastic {check.node}: no "
+                  f"(inputs {inputs} sum to {check.failing_sum})")
     return 0
 
 
@@ -146,8 +135,8 @@ def cmd_bmp(args: argparse.Namespace) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
-    for line in _FAMILY_LINES:
-        print(line)
+    for family in networks.FAMILIES:
+        print(f"{family.kind:<23}{family.summary}")
     return 0
 
 

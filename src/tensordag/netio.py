@@ -12,10 +12,10 @@ Network document (JSON, UTF-8)::
       "order": ["b", "c", "a"]
     }
 
-Activation types: ``vector`` and ``explicit`` carry ``entries``, a list of
-expression strings in row-major order with the node's own state as the last
-(fastest) index; ``jukes_cantor`` and ``quantum_threshold_one`` carry
-``alpha`` and ``beta``; ``threshold_one`` carries ``alpha``.  ``order`` is
+Activation types are the ``kind`` of each class in ``networks.FAMILIES``,
+whose fields are the type's other keys: ``entries`` lists expression strings
+in row-major order with the node's own state as the last (fastest) index,
+and ``alpha`` and ``beta`` are one expression string each.  ``order`` is
 optional; without it the declaration order is the total ordering.  Parent
 lists are stored sorted by position in the total ordering, which is also the
 axis order of their activation entries.  Unknown keys anywhere are rejected.
@@ -37,11 +37,12 @@ rationals (``2``, ``-1/3``) or decimals (``0.25``, parsed as binary64).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Union
+from typing import Container, Sequence, Union
 
-from .networks import (DEFAULT_CELL_CAP, ActivationSpec, ExplicitActivation, JukesCantor,
-                       NetworkSpec, NodeSpec, QuantumThresholdOne, SourceVector, ThresholdOne)
+from .networks import (DEFAULT_CELL_CAP, FAMILIES, ActivationSpec, NetworkSpec, NodeSpec,
+                       entry_count)
 from .scalars import _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
 from .tensors import ShapeMismatch, Tensor, _strides
 
@@ -89,16 +90,10 @@ class AssignmentSyntaxError(TensordagInputError):
     """Malformed ``name=value`` assignment list."""
 
 
-_ACTIVATION_KEYS = {
-    "vector": {"entries"},
-    "explicit": {"entries"},
-    "jukes_cantor": {"alpha", "beta"},
-    "threshold_one": {"alpha"},
-    "quantum_threshold_one": {"alpha", "beta"},
-}
+_FAMILY_BY_KIND = {family.kind: family for family in FAMILIES}
 
 
-def _expect_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _expect_keys(obj: dict, allowed: Container[str], required: Sequence[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"{path}.{key}", "unknown key")
@@ -120,34 +115,32 @@ def _parse_activation(obj: object, p: int, arity: int, path: str) -> ActivationS
     if not isinstance(obj, dict):
         raise SchemaError(path, "activation must be an object")
     kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in _ACTIVATION_KEYS:
-        known = ", ".join(sorted(_ACTIVATION_KEYS))
+    family = _FAMILY_BY_KIND.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        known = ", ".join(sorted(_FAMILY_BY_KIND))
         raise SchemaError(f"{path}.type", f"expected one of {known}, got {kind!r}")
-    keys = _ACTIVATION_KEYS[kind]
-    _expect_keys(obj, keys | {"type"}, keys | {"type"}, path)
-    if kind in ("vector", "explicit"):
+    names = ("type", *(field.name for field in fields(family)))
+    _expect_keys(obj, names, names, path)
+    values = {}
+    for name in names[1:]:
+        if name != "entries":
+            values[name] = _parse_entry(obj[name], f"{path}.{name}")
+            continue
         entries = obj["entries"]
         if not isinstance(entries, list):
             raise SchemaError(f"{path}.entries", "expected a list of expression strings")
-        expected = arity if kind == "vector" else arity ** (p + 1)
+        expected = entry_count(family, p, arity)
         if len(entries) != expected:
             raise EntryCountMismatch(f"{path}.entries", expected, len(entries))
-        parsed = tuple(_parse_entry(e, f"{path}.entries[{i}]") for i, e in enumerate(entries))
-        return SourceVector(parsed) if kind == "vector" else ExplicitActivation(parsed)
-    alpha = _parse_entry(obj["alpha"], f"{path}.alpha")
-    if kind == "threshold_one":
-        return ThresholdOne(alpha)
-    beta = _parse_entry(obj["beta"], f"{path}.beta")
-    if kind == "jukes_cantor":
-        return JukesCantor(alpha, beta)
-    return QuantumThresholdOne(alpha, beta)
+        values[name] = tuple(_parse_entry(e, f"{path}.entries[{i}]") for i, e in enumerate(entries))
+    return family(**values)
 
 
 def parse_network_document(doc: object) -> NetworkSpec:
     """Build a NetworkSpec from a parsed JSON document (a dict)."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "document root must be an object")
-    _expect_keys(doc, {"arity", "nodes", "order"}, {"arity", "nodes"}, "$")
+    _expect_keys(doc, {"arity", "nodes", "order"}, ("arity", "nodes"), "$")
     arity = doc["arity"]
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
         raise SchemaError("$.arity", f"expected a positive integer, got {arity!r}")
@@ -161,7 +154,7 @@ def parse_network_document(doc: object) -> NetworkSpec:
         path = f"$.nodes[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(path, "expected a node object")
-        _expect_keys(raw, {"id", "parents", "activation"}, {"id", "activation"}, path)
+        _expect_keys(raw, {"id", "parents", "activation"}, ("id", "activation"), path)
         node_id = raw["id"]
         if not isinstance(node_id, str) or not node_id:
             raise SchemaError(f"{path}.id", "expected a non-empty string")
@@ -217,18 +210,11 @@ def parse_network(text: str) -> NetworkSpec:
 
 
 def _activation_to_document(activation: ActivationSpec) -> dict:
-    if isinstance(activation, SourceVector):
-        return {"type": "vector", "entries": [str(e) for e in activation.entries]}
-    if isinstance(activation, ExplicitActivation):
-        return {"type": "explicit", "entries": [str(e) for e in activation.entries]}
-    if isinstance(activation, JukesCantor):
-        return {"type": "jukes_cantor", "alpha": str(activation.alpha), "beta": str(activation.beta)}
-    if isinstance(activation, ThresholdOne):
-        return {"type": "threshold_one", "alpha": str(activation.alpha)}
-    if isinstance(activation, QuantumThresholdOne):
-        return {"type": "quantum_threshold_one", "alpha": str(activation.alpha),
-                "beta": str(activation.beta)}
-    raise TypeError(f"cannot serialize activation {type(activation).__name__}")
+    document = {"type": activation.kind}
+    for field in fields(activation):
+        value = getattr(activation, field.name)
+        document[field.name] = [str(e) for e in value] if field.name == "entries" else str(value)
+    return document
 
 
 def network_to_document(spec: NetworkSpec) -> dict:

@@ -29,9 +29,10 @@ verify`` command.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
 from .tensors import Tensor, _product, blow, forget, summand_ordered_bmp
@@ -88,14 +89,12 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# Activation specifications
+# Activation families
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExplicitActivation:
-    """Cubical order-(p+1) activation given cell by cell, row-major."""
-
+class _EntryList:
     entries: tuple[PolyScalar, ...]
 
     def __post_init__(self):
@@ -103,19 +102,28 @@ class ExplicitActivation:
 
 
 @dataclass(frozen=True)
-class SourceVector:
+class SourceVector(_EntryList):
     """Activation of a parentless node: one weight per state."""
 
-    entries: tuple[PolyScalar, ...]
+    kind: ClassVar[str] = "vector"
+    summary: ClassVar[str] = "in-degree 0; 'entries' lists one weight per state"
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+
+@dataclass(frozen=True)
+class ExplicitActivation(_EntryList):
+    """Cubical order-(p+1) activation given cell by cell, row-major."""
+
+    kind: ClassVar[str] = "explicit"
+    summary: ClassVar[str] = ("any in-degree; 'entries' lists all n^(p+1) cells row-major,"
+                              " own state last")
 
 
 @dataclass(frozen=True)
 class JukesCantor:
     """Single-parent activation: alpha on the diagonal, beta elsewhere."""
 
+    kind: ClassVar[str] = "jukes_cantor"
+    summary: ClassVar[str] = "in-degree 1; 'alpha' on the diagonal, 'beta' off it"
     alpha: PolyScalar
     beta: PolyScalar
 
@@ -129,6 +137,9 @@ class ThresholdOne:
     cell is alpha.
     """
 
+    kind: ClassVar[str] = "threshold_one"
+    summary: ClassVar[str] = ("in-degree p, arity 2; output fires iff some parent fired;"
+                              " obedient cells 'alpha', others 0")
     alpha: PolyScalar
 
 
@@ -136,12 +147,29 @@ class ThresholdOne:
 class QuantumThresholdOne:
     """Threshold rule whose forbidden cells carry weight beta instead of 0."""
 
+    kind: ClassVar[str] = "quantum_threshold_one"
+    summary: ClassVar[str] = "like threshold_one with disobedient cells 'beta' instead of 0"
     alpha: PolyScalar
     beta: PolyScalar
 
 
-ActivationSpec = Union[ExplicitActivation, SourceVector, JukesCantor,
-                       ThresholdOne, QuantumThresholdOne]
+#: Every activation family, in the order ``tensordag families`` lists them: a
+#: family's ``kind`` is its document ``type`` and its fields are the other keys.
+FAMILIES = (SourceVector, ExplicitActivation, JukesCantor, ThresholdOne, QuantumThresholdOne)
+ActivationSpec = Union[FAMILIES]
+
+
+def entry_count(family: type, in_degree: int, arity: int) -> int:
+    """Entries a family lists: n for a source vector, n**(p+1) for a table.
+
+    A count with more digits than Python prints is not computed: from
+    10 * limit / 3 bits on (2**10 > 10**3), ``10 ** limit`` stands in.
+    """
+    exponent = 1 if family is SourceVector else in_degree + 1
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * (arity.bit_length() - 1) * exponent >= 10 * limit:
+        return 10 ** limit
+    return arity ** exponent
 
 
 @dataclass(frozen=True)
@@ -183,7 +211,7 @@ def _family_issue(activation: ActivationSpec, p: int, n: int) -> tuple[str, str]
     if isinstance(activation, SourceVector):
         if p != 0:
             return ("OrderMismatch", f"a source vector suits in-degree 0, node has {p} parents")
-        if len(activation.entries) != n:
+        if len(activation.entries) != entry_count(SourceVector, p, n):
             return ("FamilyArityMismatch",
                     f"source vector has {len(activation.entries)} entries, arity is {n}")
     elif isinstance(activation, JukesCantor):
@@ -193,7 +221,7 @@ def _family_issue(activation: ActivationSpec, p: int, n: int) -> tuple[str, str]
         if n != 2:
             return ("FamilyArityMismatch", f"threshold activations need arity 2, arity is {n}")
     elif isinstance(activation, ExplicitActivation):
-        expected = n ** (p + 1)
+        expected = entry_count(ExplicitActivation, p, n)
         if len(activation.entries) != expected:
             return ("OrderMismatch",
                     f"explicit activation for {p} parents over {n} states needs "
@@ -217,23 +245,12 @@ def activation_tensor(activation: ActivationSpec, in_degree: int, arity: int) ->
         return Tensor.vector(activation.entries)
     if isinstance(activation, ExplicitActivation):
         return Tensor((n,) * (p + 1), activation.entries)
+    a, b = activation.alpha, getattr(activation, "beta", _ZERO)  # ThresholdOne's beta is 0
     if isinstance(activation, JukesCantor):
-        a, b = activation.alpha, activation.beta
         return Tensor.from_function((n, n), lambda idx: a if idx[0] == idx[1] else b)
-    # Threshold families: state 1 means "fired".
-    if isinstance(activation, ThresholdOne):
-        obedient, disobedient = activation.alpha, _ZERO
-    else:
-        obedient, disobedient = activation.alpha, activation.beta
-
-    def cell(idx: tuple[int, ...]) -> PolyScalar:
-        some_parent_fired = any(s == 1 for s in idx[:-1])
-        out = idx[-1]
-        if (not some_parent_fired and out == 1) or (some_parent_fired and out == 0):
-            return disobedient
-        return obedient
-
-    return Tensor.from_function((2,) * (p + 1), cell)
+    # Threshold families: state 1 means "fired", and a cell obeys the rule
+    # when the node fires exactly when some parent fired.
+    return Tensor.from_function((2,) * (p + 1), lambda idx: a if idx[-1] == any(idx[:-1]) else b)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +407,23 @@ class PreparedNetwork:
     totals without materializing any tensor; the tests compare both routes
     against them.
 
-    With ``max_cells`` given, a network whose order-d tensors would hold
-    more cells than that is refused after validation and before any
-    activation tensor is built; every activation has at most n**d cells.
+    The cell cap is checked after validation and before any activation is
+    built: ``max_cells`` bounds the order-d tensors, and so every activation,
+    which has at most n**d cells; without it, ``DEFAULT_CELL_CAP`` bounds the
+    largest activation, of n**(p+1) cells.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
-        CellCapExceeded: ``arity ** d`` exceeds ``max_cells``.
+        CellCapExceeded: a tensor so bounded would exceed its cap.
     """
 
     def __init__(self, spec: NetworkSpec, max_cells: int | None = None):
         ensure_valid(spec)
-        if max_cells is not None and spec.arity ** spec.node_count > max_cells:
-            raise CellCapExceeded(spec.node_count, spec.arity, max_cells)
+        cap = DEFAULT_CELL_CAP if max_cells is None else max_cells
+        order = spec.node_count if max_cells is not None else 1 + max(
+            len(node.parents) for node in spec.nodes)
+        if spec.arity ** order > cap:
+            raise CellCapExceeded(order, spec.arity, cap)
         self.spec = spec
         self.arity = spec.arity
         self.d = spec.node_count
@@ -519,7 +540,8 @@ class StochasticCheck:
 
 
 def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
-    """Check every activation's output marginal, in node order."""
+    """Check every activation's output marginal, in node order; an activation
+    of more than ``DEFAULT_CELL_CAP`` cells raises :class:`CellCapExceeded`."""
     prepared = PreparedNetwork(spec)
     reports = []
     for node, tensor in zip(spec.nodes, prepared.activations):

@@ -247,6 +247,17 @@ class TestFamilies:
                      "quantum_threshold_one"):
             assert name in result.out
 
+    def test_exact_listing(self, run_cli):
+        assert run_cli("families").out == (
+            "vector                 in-degree 0; 'entries' lists one weight per state\n"
+            "explicit               any in-degree; 'entries' lists all n^(p+1) cells"
+            " row-major, own state last\n"
+            "jukes_cantor           in-degree 1; 'alpha' on the diagonal, 'beta' off it\n"
+            "threshold_one          in-degree p, arity 2; output fires iff some parent"
+            " fired; obedient cells 'alpha', others 0\n"
+            "quantum_threshold_one  like threshold_one with disobedient cells 'beta'"
+            " instead of 0\n")
+
 
 class TestGoldenCorpusExitCodes:
     GOOD = ["chain.json", "triangle.json", "severed_chain.json", "five_node.json",
@@ -341,6 +352,8 @@ HOSTILE_INPUTS = [
      ["total", "--method", "verify"], True),
     ("tensor-shape-above-cap", "shape: 99999999999999999999 x 99999999999999999999\n",
      ["bmp"], False),
+    ("stochastic-activation-above-cap", _threshold_sink_document(24),
+     ["validate", "--check-stochastic"], True),
 ]
 
 

@@ -1,16 +1,20 @@
 """Document parsing, tensor text blocks, assignments, and round-trips."""
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from tensordag import (AssignmentSyntaxError, DuplicateNodeId, EntryCountMismatch,
-                       JukesCantor, SchemaError, ShapeMismatch, Tensor,
-                       TensorSyntaxError, UnknownNodeId, activation_tensor,
-                       parse_network, parse_network_document, parse_tensor,
-                       parse_assignment, serialize_network, serialize_tensor,
-                       total_direct, validate)
+                       ExplicitActivation, JukesCantor, NetworkSpec, NodeSpec,
+                       QuantumThresholdOne, SchemaError, ShapeMismatch, SourceVector,
+                       Tensor, TensorSyntaxError, ThresholdOne, UnknownNodeId,
+                       activation_tensor, parse_network, parse_network_document,
+                       parse_tensor, parse_assignment, serialize_network,
+                       serialize_tensor, total_direct, validate)
+from tensordag.networks import FAMILIES
 from golden import (ALPHA, BETA, chain_network, five_node_network, random_dag_network,
                     random_monomial, severed_chain_network, triangle_network)
 
@@ -133,6 +137,26 @@ class TestParseNetwork:
             parse_network_document(doc)
         assert info.value.expected == 8 and info.value.got == 7
 
+    @pytest.mark.parametrize("doc, key", [
+        ({}, "arity"),
+        ({"arity": 2, "nodes": [{}]}, "id"),
+        ({"arity": 2, "nodes": [{"id": "x", "activation": {"type": "jukes_cantor"}}]}, "alpha"),
+    ], ids=["document", "node", "activation"])
+    def test_first_missing_key_does_not_depend_on_the_hash_seed(self, doc, key):
+        with pytest.raises(SchemaError, match=f"missing required key '{key}'"):
+            parse_network_document(doc)
+
+    def test_entry_count_too_long_to_print_is_not_computed(self):
+        text = json.dumps({"arity": int("9" * 4000), "nodes": [
+            {"id": "x", "parents": [f"p{i}" for i in range(4000)],
+             "activation": {"type": "explicit", "entries": []}}]})
+        start = time.perf_counter()
+        with pytest.raises(EntryCountMismatch) as info:
+            parse_network(text)
+        assert time.perf_counter() - start < 5
+        assert str(info.value) == (
+            "$.nodes[0].activation.entries: expected over 10^4300 entries, got 0")
+
     def test_explicit_entries_read_row_major_with_own_state_last(self):
         doc = {"arity": 2, "nodes": [
             {"id": "x", "activation": {"type": "vector", "entries": ["1", "2"]}},
@@ -144,7 +168,31 @@ class TestParseNetwork:
         assert tensor == activation_tensor(JukesCantor(ALPHA, BETA), 1, 2)
 
 
+#: One activation of each family and the in-degree it suits, at arity 2.
+FAMILY_EXAMPLES = {
+    SourceVector: (0, SourceVector((ALPHA, BETA))),
+    ExplicitActivation: (2, ExplicitActivation((ALPHA, BETA, 1, 0, BETA, ALPHA, 0, 1))),
+    JukesCantor: (1, JukesCantor(ALPHA, BETA)),
+    ThresholdOne: (2, ThresholdOne(ALPHA)),
+    QuantumThresholdOne: (2, QuantumThresholdOne(ALPHA, BETA)),
+}
+
+
 class TestNetworkRoundTrip:
+    def test_every_family_has_an_example(self):
+        assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[f.kind for f in FAMILIES])
+    def test_every_family(self, family):
+        in_degree, activation = FAMILY_EXAMPLES[family]
+        sources = [NodeSpec(f"s{i}", (), SourceVector((1, BETA))) for i in range(in_degree)]
+        node = NodeSpec("x", tuple(s.id for s in sources), activation)
+        spec = NetworkSpec(2, (*sources, node))
+        assert validate(spec) == []
+        text = serialize_network(spec)
+        assert json.loads(text)["nodes"][-1]["activation"]["type"] == family.kind
+        assert parse_network(text) == spec
+
     @pytest.mark.parametrize("build", [
         chain_network, triangle_network, severed_chain_network, five_node_network])
     def test_golden_networks(self, build):
