@@ -7,16 +7,17 @@ tolerance anywhere in the library.
 
 Representation
 --------------
-A polynomial is stored as a dict mapping monomials to coefficients:
+A polynomial is stored as nonzero integer numerators keyed by monomial,
+over one positive denominator:
 
-    alpha^2*beta + 5/2   ->   {(("alpha", 2), ("beta", 1)): 1, (): Fraction(5, 2)}
+    alpha^2*beta + 5/2   ->   {(("alpha", 2), ("beta", 1)): 2, (): 5} over 2
 
 A monomial is a tuple of ``(name, power)`` pairs, sorted by name, with every
-power >= 1 (absent name = power 0).  Coefficients are ``int`` or
-``fractions.Fraction`` and never zero; Fractions that reduce to integers are
-stored as ``int`` to keep the common integer-only arithmetic fast.  The zero
-polynomial is the empty dict.  This form is canonical: two PolyScalars are
-equal iff their term dicts are equal.
+power >= 1 (absent name = power 0).  The denominator has no factor common to
+all the numerators (zero is the empty dict over 1), so two PolyScalars are
+equal iff their denominators and term dicts are equal.  Ring operations use
+integer arithmetic only; :meth:`PolyScalar.terms` gives each coefficient in
+lowest terms, an ``int`` when it is whole.
 
 For serialization and evaluation, terms are ordered graded-lexicographically
 (higher total degree first, ties broken by the exponent vector over the
@@ -26,6 +27,7 @@ evaluation are deterministic.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping, Union
@@ -47,6 +49,10 @@ Assignment = Mapping[str, Union[int, Fraction, float]]
 #: before it is computed: about 315 000 decimal digits, far beyond the 4300
 #: that Python prints by default.
 _MAX_POWER_BITS = 1 << 20
+
+#: A power of a polynomial that could have more terms than this is refused
+#: before it is computed: ``(a+b+c)^100`` could have 5151.
+_MAX_POWER_TERMS = 1 << 10
 
 #: Deepest nesting of parentheses and unary minus signs that
 #: `parse_expr` accepts.  The parser recurses once per level, so the
@@ -128,67 +134,46 @@ def count_text(count: int) -> str:
         return f"over 10^{sys.get_int_max_str_digits()}"
 
 
-def _as_coefficient(value: int | Fraction) -> Coefficient:
-    """Normalize a coefficient: Fractions with denominator 1 become ints."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return value
-    return value
-
-
 class PolyScalar:
     """An immutable exact multivariate polynomial.
 
     Supports ``+``, ``-``, ``*`` and ``**`` with other PolyScalars and with
     plain ``int``/``Fraction`` values.  ``str()`` returns the canonical text
-    form, which :func:`parse_expr` reads back.
+    form, which :func:`parse_expr` reads back.  The constructor is internal:
+    build values with the class methods, :func:`parse_expr` and the operators.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
-        normalized: dict[Monomial, Coefficient] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                merged: dict[str, int] = {}
-                for name, power in mono:
-                    if power < 0:
-                        raise ValueError(f"negative power {power} for {name!r}")
-                    merged[name] = merged.get(name, 0) + power
-                key = tuple(sorted((n, p) for n, p in merged.items() if p != 0))
-                value = _as_coefficient(Fraction(coeff) if not isinstance(coeff, (int, Fraction)) else coeff)
-                if key in normalized:
-                    value = _as_coefficient(normalized[key] + value)
-                if value == 0:
-                    normalized.pop(key, None)
-                else:
-                    normalized[key] = value
-        self._terms = normalized
-
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, Coefficient]) -> "PolyScalar":
-        """Wrap an already-canonical term dict without re-normalizing."""
-        p = cls.__new__(cls)
-        p._terms = terms
-        return p
+    def __init__(self, terms: dict[Monomial, int], den: int = 1):
+        """Divide out the common factor of ``den`` and the numerators."""
+        if den != 1:
+            common = math.gcd(den, *terms.values())
+            if common != 1:
+                terms = {mono: coeff // common for mono, coeff in terms.items()}
+                den //= common
+        self._terms = terms
+        self._den = den
 
     @classmethod
     def zero(cls) -> "PolyScalar":
-        return cls._raw({})
+        return cls({})
 
     @classmethod
     def constant(cls, value: int | Fraction) -> "PolyScalar":
-        coeff = _as_coefficient(value if isinstance(value, (int, Fraction)) else Fraction(value))
-        return cls._raw({(): coeff} if coeff != 0 else {})
+        if type(value) is int:  # every integer literal the parser reads
+            return cls({(): value} if value else {})
+        value = Fraction(value)
+        return cls({(): value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def parameter(cls, name: str) -> "PolyScalar":
-        return cls._raw({((name, 1),): 1})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, coeff: int | Fraction, powers: Mapping[str, int]) -> "PolyScalar":
-        return cls({tuple(powers.items()): coeff})
+        return math.prod((cls.parameter(name) ** power for name, power in powers.items()),
+                         start=cls.constant(coeff))
 
     # -- queries ---------------------------------------------------------
 
@@ -216,7 +201,8 @@ class PolyScalar:
                 vector[index[name]] = power
             return (sum(vector), tuple(vector))
 
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=grade, reverse=True)]
+        return [(m, _reduced(self._terms[m], self._den))
+                for m in sorted(self._terms, key=grade, reverse=True)]
 
     # -- ring operations -------------------------------------------------
 
@@ -236,19 +222,21 @@ class PolyScalar:
             return rhs
         if not rhs._terms:
             return self
-        out = dict(self._terms)
+        den = math.lcm(self._den, rhs._den)
+        out = _scaled(self._terms, den // self._den)
+        scale = den // rhs._den
         for mono, coeff in rhs._terms.items():
-            total = _as_coefficient(out.get(mono, 0) + coeff)
-            if total == 0:
-                out.pop(mono, None)
-            else:
+            total = out.get(mono, 0) + coeff * scale
+            if total:
                 out[mono] = total
-        return PolyScalar._raw(out)
+            else:
+                del out[mono]
+        return PolyScalar(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar._raw({mono: -coeff for mono, coeff in self._terms.items()})
+        return PolyScalar(_scaled(self._terms, -1), self._den)
 
     def __sub__(self, other: object) -> "PolyScalar":
         rhs = self._coerce(other)
@@ -269,32 +257,42 @@ class PolyScalar:
         a, b = self._terms, rhs._terms
         if not a or not b:
             return _ZERO
+        den = self._den * rhs._den
         if len(a) == 1 and len(b) == 1:
             # Monomial times monomial: the overwhelmingly common case for
             # network totals, worth the dedicated path.
             (ma, ca), = a.items()
             (mb, cb), = b.items()
-            return PolyScalar._raw({_merge_monomials(ma, mb): _as_coefficient(ca * cb)})
-        out: dict[Monomial, Coefficient] = {}
+            return PolyScalar({_merge_monomials(ma, mb): ca * cb}, den)
+        out: dict[Monomial, int] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
                 mono = _merge_monomials(ma, mb)
-                total = _as_coefficient(out.get(mono, 0) + ca * cb)
-                if total == 0:
-                    out.pop(mono, None)
-                else:
+                total = out.get(mono, 0) + ca * cb
+                if total:
                     out[mono] = total
-        return PolyScalar._raw(out)
+                else:
+                    del out[mono]
+        return PolyScalar(out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "PolyScalar":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        for coeff in self._terms.values():
-            size = _size_bits(coeff) * exponent
+        for numerator in self._terms.values():
+            size = _size_bits(_reduced(numerator, self._den)) * exponent
             if size > _MAX_POWER_BITS:
                 raise _too_large(size)
+        # A t-term base gives at most C(exponent+t-1, t-1) terms; after step
+        # i, bound = C(exponent+i, i).
+        bound = 1
+        for i in range(1, len(self._terms)):
+            bound = bound * (exponent + i) // i
+            if bound > _MAX_POWER_TERMS:
+                raise TensordagInputError(
+                    f"a power of a polynomial that could have over {_MAX_POWER_TERMS} terms"
+                    f" is too large to compute ({len(self._terms)} terms to the power {exponent})")
         result = _ONE
         base = self
         e = exponent
@@ -311,14 +309,12 @@ class PolyScalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._den == rhs._den and self._terms == rhs._terms
 
     def __hash__(self) -> int:
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return hash(self._terms[()])
-        return hash(frozenset(self._terms.items()))
+        if self._terms.keys() <= {()}:  # a constant hashes like the number
+            return hash(_reduced(self._terms.get((), 0), self._den))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -389,6 +385,19 @@ class PolyScalar:
 
 _ZERO = PolyScalar.zero()
 _ONE = PolyScalar.constant(1)
+
+
+def _reduced(numerator: int, den: int) -> Coefficient:
+    """``numerator / den`` in lowest terms: an int when it is whole."""
+    value = Fraction(numerator, den) if den != 1 else numerator
+    return value.numerator if value.denominator == 1 else value
+
+
+def _scaled(terms: dict[Monomial, int], factor: int) -> dict[Monomial, int]:
+    """A copy of ``terms`` with every numerator times ``factor``."""
+    if factor == 1:
+        return dict(terms)
+    return {mono: coeff * factor for mono, coeff in terms.items()}
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:

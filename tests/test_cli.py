@@ -344,6 +344,7 @@ HOSTILE_INPUTS = [
     ("huge-exponent", _source_document("alpha^99999999999"),
      ["total", "--method", "direct", "--assign", "alpha=2"], False),
     ("huge-constant-power", _source_document("2^99999999999"), ["validate"], False),
+    ("huge-polynomial-power", _source_document("(a+b+c)^100"), ["validate"], False),
     ("cap-before-threshold-activation", _threshold_sink_document(20),
      ["total", "--method", "verify", "--max-cells", "100"], True),
     ("cap-before-jukes-cantor-activation", _jukes_cantor_document(2500),

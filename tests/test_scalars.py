@@ -229,3 +229,50 @@ class TestSerialization:
 
     def test_zero(self):
         assert str(PolyScalar.zero()) == "0"
+
+
+class TestCanonicalForm:
+    """Equal values built by different routes share one stored form."""
+
+    @settings(max_examples=200)
+    @given(poly_scalars(), poly_scalars(), poly_scalars())
+    def test_equal_values_hash_and_print_alike(self, p, q, r):
+        for left, right in (((p * q) * r, p * (q * r)), (p * (q + r), p * q + p * r),
+                            ((p + q) + r, r + (q + p)), (p - q, -(q - p))):
+            assert left == right
+            assert hash(left) == hash(right)
+            assert str(left) == str(right)
+
+    @settings(max_examples=200)
+    @given(st.fractions(max_denominator=10 ** 6))
+    def test_constant_equals_and_hashes_like_its_number(self, x):
+        assert PolyScalar.constant(x) == x
+        assert hash(PolyScalar.constant(x)) == hash(x)
+
+    def test_denominators_cancel(self):
+        product = parse_expr("3/2*alpha") * Fraction(2, 3)
+        assert product == ALPHA and str(product) == "alpha"
+        total = parse_expr("1/6*alpha + 1/3*alpha")
+        assert str(total) == "1/2*alpha"
+        assert total.terms() == [((("alpha", 1),), Fraction(1, 2))]
+
+    def test_whole_coefficients_come_back_as_ints(self):
+        coefficient = parse_expr("1/2*alpha + 1/2*alpha + 1/4").terms()[0][1]
+        assert coefficient == 1 and type(coefficient) is int
+
+
+class TestPowerGuards:
+    def test_term_count_bound(self):
+        # C(7+5, 5) = 792 terms are computed; C(8+5, 5) = 1287 are refused.
+        assert len(parse_expr("(a+b+c+d+e+f)^7").terms()) == 792
+        with pytest.raises(TensordagInputError, match="over 1024 terms"):
+            parse_expr("(a+b+c+d+e+f)^8")
+        with pytest.raises(TensordagInputError, match="over 1024 terms"):
+            parse_expr("(a+b+c)^100")
+
+    def test_bit_bound_is_unchanged(self):
+        assert parse_expr("(1/2*alpha)^1048576") == Fraction(1, 2 ** 1_048_576) * ALPHA ** 1_048_576
+        with pytest.raises(TensordagInputError) as info:
+            parse_expr("(1/2*alpha)^1048577")
+        assert str(info.value) == ("an exact power of at least 1048577 bits is too large"
+                                   " to compute (the limit is 1048576)")
