@@ -13,8 +13,10 @@ The order-d *total tensor* assembles the joint behaviour: its cell at
 selected by the states of that node's parents and the node's own state.
 The module computes it two independent ways:
 
-* :func:`total_direct` multiplies activation entries cell by cell - the
-  brute-force definition, used as the oracle.
+* :func:`total_direct` multiplies activation entries, read through the
+  bounds-checked ``Tensor[...]``, in node order - the definition, used as
+  the oracle.  Cells that share the states of nodes 0..j share the product
+  of those nodes' entries, which is computed once.
 * :func:`total_bmp` first expands every activation tensor to an order-d node
   tensor (insert missing axes with :func:`~tensordag.tensors.forget`, tie a
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
@@ -31,7 +33,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import ClassVar, Iterable, Sequence, Union
 
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
@@ -507,9 +509,39 @@ def node_tensors(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> list[T
 def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     """Total tensor by the direct definition: per cell, multiply the matching
     activation entry of every node.  This is the oracle the product route is
-    verified against."""
+    verified against.
+
+    Cells that agree on the states of nodes 0..j-1 share the product of those
+    nodes' entries, so one depth-first walk over the nodes in order computes
+    each such prefix once and extends it by node j's entry; the products are
+    those of :meth:`PreparedNetwork.total_direct_cell`, in the same order.  A
+    zero entry makes its whole subtree zero cells without a multiply.  The
+    walk keeps one state and one prefix per node and emits cells row-major.
+    """
     prepared = PreparedNetwork(spec, max_cells)
-    return Tensor.from_function(prepared.total_shape(), prepared.total_direct_cell)
+    n, d = prepared.arity, prepared.d
+    activations, parents = prepared.activations, prepared.parent_positions
+    cells: list[PolyScalar] = []
+    states = [-1] * d          # state of each node on the current path, -1 before its first
+    prefixes = [_ONE] * d      # prefixes[j]: product of the entries of nodes 0..j-1
+    j = 0
+    while 0 <= j < d:
+        states[j] += 1
+        if states[j] == n:
+            states[j] = -1
+            j -= 1
+            continue
+        entry = activations[j][tuple(states[p] for p in parents[j]) + (states[j],)]
+        if entry.is_zero():
+            cells.extend(repeat(_ZERO, n ** (d - 1 - j)))
+            continue
+        value = entry if prefixes[j] is _ONE else prefixes[j] * entry
+        if j == d - 1:
+            cells.append(value)
+        else:
+            prefixes[j + 1] = value
+            j += 1
+    return Tensor(prepared.total_shape(), cells)
 
 
 def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:

@@ -192,17 +192,20 @@ class PolyScalar:
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms in canonical (graded-lex descending) order."""
+        return [(mono, _reduced(numerator, self._den)) for mono, numerator in self._ordered()]
+
+    def _ordered(self) -> list[tuple[Monomial, int]]:
+        """``(monomial, numerator)`` pairs in canonical order."""
         names = sorted({name for mono in self._terms for name, _ in mono})
         index = {name: i for i, name in enumerate(names)}
 
-        def grade(mono: Monomial) -> tuple[int, tuple[int, ...]]:
+        def grade(item: tuple[Monomial, int]) -> tuple[int, tuple[int, ...]]:
             vector = [0] * len(names)
-            for name, power in mono:
+            for name, power in item[0]:
                 vector[index[name]] = power
             return (sum(vector), tuple(vector))
 
-        return [(m, _reduced(self._terms[m], self._den))
-                for m in sorted(self._terms, key=grade, reverse=True)]
+        return sorted(self._terms.items(), key=grade, reverse=True)
 
     # -- ring operations -------------------------------------------------
 
@@ -362,11 +365,14 @@ class PolyScalar:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(self.terms()):
-            negative = coeff < 0
-            magnitude = -coeff if negative else coeff
+        for i, (mono, numerator) in enumerate(self._ordered()):
+            common = math.gcd(numerator, self._den)
+            negative = numerator < 0
+            magnitude, den = abs(numerator) // common, self._den // common
             factors = []
-            if magnitude != 1 or not mono:
+            if den != 1:
+                factors.append(f"{magnitude}/{den}")
+            elif magnitude != 1 or not mono:
                 factors.append(str(magnitude))
             factors.extend(name if power == 1 else f"{name}^{power}" for name, power in mono)
             if i == 0 and negative and not factors[0][0].isdigit() and mono[0][1] > 1:

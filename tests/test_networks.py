@@ -1,25 +1,31 @@
 """Network model: activation families, validation, node tensors, totals."""
 
+import dataclasses
 import random
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fractions import Fraction
 
+from tensordag import networks, tensors
 from tensordag import (CellCapExceeded, CycleDetected, ExplicitActivation,
                        FamilyArityMismatch, InvalidNetwork, JukesCantor,
                        NetworkSpec, NodeSpec, Permutation, PolyScalar,
                        PreparedNetwork, QuantumThresholdOne, SourceVector,
                        Tensor, ThresholdOne, activation_tensor, blow,
                        ensure_valid, node_pipeline, node_tensors,
-                       outer_product, sigma_transpose, stochastic_report,
+                       outer_product, parse_expr, parse_network,
+                       sigma_transpose, stochastic_report,
                        topological_order, total_bmp, total_direct, validate,
                        verify_totals)
 from golden import (ALPHA, BETA, CHAIN_NODE_TENSORS, CHAIN_TOTAL, FIVE_NODE_NODE_TENSORS,
                     FIVE_NODE_TOTAL, SEVERED_TOTAL, TRIANGLE_TOTAL, chain_network,
                     expr_table, five_node_network, random_dag_network,
                     severed_chain_network, tensor_from_table, triangle_network)
+from test_bench_oracle import _load
 
 ZERO = PolyScalar.zero()
 
@@ -351,6 +357,107 @@ class TestTotals:
         spec = NetworkSpec(2, (NodeSpec("a", ("a",), JukesCantor(ALPHA, BETA)),))
         with pytest.raises(InvalidNetwork):
             total_direct(spec)
+
+
+GOLDEN_TOTALS = [(chain_network, CHAIN_TOTAL), (triangle_network, TRIANGLE_TOTAL),
+                 (severed_chain_network, SEVERED_TOTAL), (five_node_network, FIVE_NODE_TOTAL)]
+
+#: Entries for random networks: zeros, integers, monomials and two-term rationals.
+ENTRY_TEXTS = ("0", "1", "-2", "alpha", "beta", "alpha*beta", "1/3*alpha + 1/2",
+               "2/5*beta - 3/7")
+
+
+@st.composite
+def small_networks(draw):
+    """Random DAGs of 1-6 nodes over 2-3 states, with hard zeros in their entries."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    entry = st.sampled_from(ENTRY_TEXTS).map(parse_expr)
+    nodes = []
+    for i in range(d):
+        parents = sorted(draw(st.sets(st.integers(0, i - 1), max_size=min(i, 3)))) if i else []
+        p = len(parents)
+        families = [ExplicitActivation]
+        if p == 0:
+            families = [SourceVector]
+        elif p == 1:
+            families.append(JukesCantor)
+        if p and n == 2:
+            families.append(ThresholdOne)
+        family = draw(st.sampled_from(families))
+        if family is JukesCantor:
+            activation = JukesCantor(draw(entry), draw(entry))
+        elif family is ThresholdOne:
+            activation = ThresholdOne(draw(entry))
+        else:
+            count = n if family is SourceVector else n ** (p + 1)
+            activation = family(tuple(draw(entry) for _ in range(count)))
+        nodes.append(NodeSpec(f"v{i}", tuple(f"v{j}" for j in parents), activation))
+    return NetworkSpec(n, tuple(nodes))
+
+
+def _count_direct_multiplies(spec, monkeypatch):
+    """``total_direct(spec)`` and the number of ``PolyScalar.__mul__`` calls it made."""
+    calls = 0
+    multiply = PolyScalar.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PolyScalar, "__mul__", counting)
+        total = total_direct(spec)
+    return total, calls
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("one total route called the other route's code")
+
+
+class TestPrefixSharedDirect:
+    @settings(max_examples=60, deadline=None)
+    @given(small_networks())
+    def test_every_cell_matches_the_per_cell_oracle_and_the_product(self, spec):
+        direct = total_direct(spec)
+        prepared = PreparedNetwork(spec)
+        for idx in direct.indices():
+            assert direct[idx] == prepared.total_direct_cell(idx), f"cell {idx}"
+        assert direct == total_bmp(spec)
+
+    def test_each_prefix_is_multiplied_once(self, monkeypatch):
+        # n**2 + ... + n**d multiplies: one per node j >= 1 per state of nodes 0..j
+        doc = _load("docgen", monkeypatch).generate("mono-n2-d12", 1)[0]
+        spec = parse_network(doc.text)
+        n, d = spec.arity, spec.node_count
+        total, calls = _count_direct_multiplies(spec, monkeypatch)
+        assert not any(cell.is_zero() for cell in total.cells)
+        assert calls == sum(n ** k for k in range(2, d + 1)) == 8188
+
+        # a zero source entry skips the multiplies of nodes 1..d-1 under it
+        source = spec.nodes[0]
+        entries = (PolyScalar.zero(),) + source.activation.entries[1:]
+        zeroed = dataclasses.replace(spec, nodes=(
+            dataclasses.replace(source, activation=SourceVector(entries)),) + spec.nodes[1:])
+        total, zeroed_calls = _count_direct_multiplies(zeroed, monkeypatch)
+        assert zeroed_calls == calls - sum(n ** k for k in range(1, d))
+        assert total.cells[:n ** (d - 1)] == (PolyScalar.zero(),) * n ** (d - 1)
+        assert total == total_bmp(zeroed)
+
+    @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
+    def test_direct_route_runs_without_the_product_route(self, build, table, monkeypatch):
+        spec = build()
+        for name in ("_offsets", "bmp", "forget", "blow"):
+            monkeypatch.setattr(tensors, name, _refuse)
+        for name in ("forget", "blow", "summand_ordered_bmp"):
+            monkeypatch.setattr(networks, name, _refuse)
+        assert_matches_table(total_direct(spec), table)
+
+    @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
+    def test_product_route_runs_without_the_direct_lookup(self, build, table, monkeypatch):
+        spec = build()
+        monkeypatch.setattr(PreparedNetwork, "_entry", _refuse)
+        assert_matches_table(total_bmp(spec), table)
 
 
 def _keeps_parents_first(spec, placement):
