@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import networks, netio
@@ -50,7 +49,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if check.stochastic:
             print(f"stochastic {check.node}: yes")
         else:
-            inputs = ",".join(str(i + 1) for i in check.failing_input) or "-"
+            inputs = netio.cell_key(check.failing_input) or "-"
             print(f"stochastic {check.node}: no "
                   f"(inputs {inputs} sum to {check.failing_sum})")
     return 0
@@ -87,18 +86,15 @@ def cmd_node_tensors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_number(value: int | Fraction | float) -> str:
-    return repr(value) if isinstance(value, float) else exact_text(value)
-
-
 def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
-    print("shape: " + " x ".join(str(dim) for dim in tensor.shape))
+    # Every cell is evaluated and formatted before printing, so an error prints nothing.
+    lines = ["shape: " + " x ".join(str(dim) for dim in tensor.shape)]
     for idx, cell in zip(tensor.indices(), tensor.cells):
         value = cell.evaluate(bindings)
-        if value == 0:
-            continue
-        key = ",".join(str(i + 1) for i in idx)
-        print(f"{key} = {_format_number(value)}")
+        if value != 0:
+            text = repr(value) if isinstance(value, float) else exact_text(value)
+            lines.append(f"{netio.cell_key(idx)} = {text}")
+    print("\n".join(lines))
 
 
 def cmd_total(args: argparse.Namespace) -> int:
@@ -112,7 +108,7 @@ def cmd_total(args: argparse.Namespace) -> int:
             print(f"EQUAL ({result.cells} cells)")
             return 0
         idx, direct_value, bmp_value = result.first_difference
-        key = ",".join(str(i + 1) for i in idx)
+        key = netio.cell_key(idx)
         try:
             print(f"DIFFER at {key}: direct {direct_value} != bmp {bmp_value}")
         except TensordagInputError:  # a value too large to print

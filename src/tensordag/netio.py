@@ -37,6 +37,7 @@ rationals (``2``, ``-1/3``) or decimals (``0.25``, parsed as binary64).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 from typing import Container, Sequence, Union
@@ -238,14 +239,17 @@ def serialize_network(spec: NetworkSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
+def cell_key(idx: Sequence[int]) -> str:
+    """The text form of a 0-based index: 1-based and comma-separated, ``(0, 2)`` -> ``1,3``."""
+    return ",".join(str(i + 1) for i in idx)
+
+
 def serialize_tensor(t: Tensor) -> str:
     """Text block for a tensor: shape header plus nonzero cells, 1-based."""
     lines = ["shape: " + " x ".join(str(dim) for dim in t.shape)]
     for idx, cell in zip(t.indices(), t.cells):
-        if cell.is_zero():
-            continue
-        key = ",".join(str(i + 1) for i in idx)
-        lines.append(f"{key} = {cell}")
+        if not cell.is_zero():
+            lines.append(f"{cell_key(idx)} = {cell}")
     return "\n".join(lines) + "\n"
 
 
@@ -350,10 +354,13 @@ def parse_assignment(text: str) -> dict[str, Number]:
 def _parse_number(raw: str) -> Number:
     try:
         if "." in raw or "e" in raw or "E" in raw:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise OverflowError("outside the float range")
+            return value
         if "/" in raw:
             num, _, den = raw.partition("/")
             return Fraction(int(num.strip()), int(den.strip()))
         return int(raw)
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
         raise AssignmentSyntaxError(f"bad value {raw!r}: {err}") from err

@@ -37,7 +37,7 @@ from itertools import product, repeat
 from typing import ClassVar, Iterable, Sequence, Union
 
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
-from .tensors import Tensor, _product, blow, forget, summand_ordered_bmp
+from .tensors import Tensor, _contract, _product, blow, forget, summand_ordered_bmp
 
 #: Materializing a tensor with more cells than this is refused by default;
 #: an order-d network costs n**d cells per node tensor.
@@ -281,33 +281,29 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         if position.get(node.id) != i:
             continue  # duplicate already reported
         parent_positions: list[int] = []
-        ok = True
+        reported = len(violations)  # later checks run only while this node has no violation
         seen: set[str] = set()
         for parent in node.parents:
             if parent in seen:
                 violations.append(Violation("DuplicateParent", node.id,
                                             f"parent '{parent}' listed twice"))
-                ok = False
                 continue
             seen.add(parent)
             if parent not in position:
                 violations.append(Violation("UnknownParent", node.id,
                                             f"parent '{parent}' is not a node"))
-                ok = False
                 continue
             j = position[parent]
             if j >= i:
                 violations.append(Violation(
                     "OrderingIncompatible", node.id,
                     f"parent '{parent}' (position {j}) does not precede position {i}"))
-                ok = False
             parent_positions.append(j)
-        if ok and parent_positions != sorted(parent_positions):
+        if len(violations) == reported and parent_positions != sorted(parent_positions):
             violations.append(Violation(
                 "ParentOrder", node.id,
                 "parents must be listed in increasing position order"))
-            ok = False
-        if ok:
+        if len(violations) == reported:
             issue = _family_issue(node.activation, len(node.parents), spec.arity)
             if issue is not None:
                 violations.append(Violation(issue[0], node.id, issue[1]))
@@ -426,7 +422,6 @@ class PreparedNetwork:
             len(node.parents) for node in spec.nodes)
         if spec.arity ** order > cap:
             raise CellCapExceeded(order, spec.arity, cap)
-        self.spec = spec
         self.arity = spec.arity
         self.d = spec.node_count
         self.position = {node.id: i for i, node in enumerate(spec.nodes)}
@@ -436,10 +431,7 @@ class PreparedNetwork:
             activation_tensor(node.activation, len(node.parents), spec.arity)
             for node in spec.nodes]
 
-    def total_shape(self) -> tuple[int, ...]:
-        return (self.arity,) * self.d
-
-    def _entry(self, j: int, idx: tuple[int, ...]) -> PolyScalar:
+    def _entry(self, j: int, idx: Sequence[int]) -> PolyScalar:
         """Activation entry of node j selected by the states in a total index."""
         return self.activations[j][tuple(idx[p] for p in self.parent_positions[j]) + (idx[j],)]
 
@@ -458,15 +450,13 @@ class PreparedNetwork:
         return self._entry(i, idx)
 
     def total_bmp_cell(self, idx: tuple[int, ...]) -> PolyScalar:
-        """Product-formula cell evaluated lazily: one contracted sum."""
+        """Product-formula cell evaluated lazily: one contraction of d fibers of n cells."""
         if self.d == 1:
             return self.node_tensor_cell(0, idx)
         # Factor at summand position m is contracted in axis m: the sink
         # tensor at m = 0, node tensor B_{m-1} for m >= 1.
-        terms = (_product(self.node_tensor_cell((m - 1) % self.d, idx[:m] + (h,) + idx[m + 1:])
-                          for m in range(self.d))
-                 for h in range(self.arity))
-        return sum(terms, _ZERO)
+        return _contract([self.node_tensor_cell((m - 1) % self.d, idx[:m] + (h,) + idx[m + 1:])
+                          for h in range(self.arity)] for m in range(self.d))
 
 
 def node_pipeline(spec: NetworkSpec, index: int,
@@ -520,7 +510,6 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
     """
     prepared = PreparedNetwork(spec, max_cells)
     n, d = prepared.arity, prepared.d
-    activations, parents = prepared.activations, prepared.parent_positions
     cells: list[PolyScalar] = []
     states = [-1] * d          # state of each node on the current path, -1 before its first
     prefixes = [_ONE] * d      # prefixes[j]: product of the entries of nodes 0..j-1
@@ -531,7 +520,7 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
             states[j] = -1
             j -= 1
             continue
-        entry = activations[j][tuple(states[p] for p in parents[j]) + (states[j],)]
+        entry = prepared._entry(j, states)
         if entry.is_zero():
             cells.extend(repeat(_ZERO, n ** (d - 1 - j)))
             continue
@@ -541,7 +530,7 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
         else:
             prefixes[j + 1] = value
             j += 1
-    return Tensor(prepared.total_shape(), cells)
+    return Tensor((n,) * d, cells)
 
 
 def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
@@ -575,20 +564,17 @@ def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
     """Check every activation's output marginal, in node order; an activation
     of more than ``DEFAULT_CELL_CAP`` cells raises :class:`CellCapExceeded`."""
     prepared = PreparedNetwork(spec)
+    n = spec.arity
     reports = []
     for node, tensor in zip(spec.nodes, prepared.activations):
-        failing = None
-        for combo in product(range(spec.arity), repeat=tensor.order - 1):
-            marginal = _ZERO
-            for out in range(spec.arity):
-                marginal = marginal + tensor[combo + (out,)]
-            if marginal != _ONE:
-                failing = (combo, marginal)
-                break
+        # The output axis is last, so each input combination's n cells are adjacent.
+        combos = product(range(n), repeat=tensor.order - 1)
+        marginals = (sum(tensor.cells[k:k + n], _ZERO) for k in range(0, tensor.ncells, n))
+        failing = next(((combo, m) for combo, m in zip(combos, marginals) if m != _ONE), None)
         if failing is None:
             reports.append(StochasticCheck(node.id, True))
         else:
-            reports.append(StochasticCheck(node.id, False, failing[0], failing[1]))
+            reports.append(StochasticCheck(node.id, False, *failing))
     return reports
 
 

@@ -349,6 +349,8 @@ class PolyScalar:
                         raise _too_large(size)
                     value = value * assignment[name] ** power
                 total = total + value
+            if isinstance(total, float) and not math.isfinite(total):
+                raise OverflowError  # a float product or sum overflowed to inf (or inf - inf)
         except OverflowError:
             raise TensordagInputError("the value overflows the float range") from None
         return total

@@ -22,6 +22,8 @@ All operations are pure; tensors are immutable after construction.
 The expansions and :func:`bmp` gather cells by the unchecked offsets of
 ``_offsets``; the direct route reads only through the bounds-checked
 ``Tensor[...]``, so the two total routes share no index arithmetic.
+``_contract`` is the one sum of factor products over the contracted index:
+:func:`bmp` and the network layer's lazy product cell both reduce with it.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ def _product(cells: Iterable[PolyScalar]) -> PolyScalar:
             return _ZERO
         value = cell if value is _ONE else value * cell
     return value
+
+
+def _contract(fibers: Iterable[Sequence[PolyScalar]]) -> PolyScalar:
+    """One product cell: the sum over h of the product of every fiber's cell h, where a
+    fiber is the run of one factor's cells along its contracted axis through that cell."""
+    return sum(map(_product, zip(*fibers)), _ZERO)
 
 
 class Tensor:
@@ -276,9 +284,7 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
                                      for axis, s in enumerate(t._strides)])
              for k, t in enumerate(factors)]
     steps = [t._strides[contracted[k]] for k, t in enumerate(factors)]
-    factor_cells = [t.cells for t in factors]
-    cells = [sum((_product(c[b + h * s] for c, b, s in zip(factor_cells, base, steps))
-                  for h in range(l)), _ZERO)
+    cells = [_contract(t.cells[b:b + l * s:s] for t, b, s in zip(factors, base, steps))
              for base in zip(*bases)]
     return Tensor(tuple(result_shape), cells)
 

@@ -337,6 +337,10 @@ HOSTILE_INPUTS = [
      ["validate"], False),
     ("float-overflow", _source_document("alpha^20000"),
      ["total", "--method", "direct", "--assign", "alpha=2.0"], False),
+    ("infinite-float-literal", _source_document("alpha"),
+     ["total", "--method", "direct", "--assign", "alpha=1e999"], False),
+    ("float-product-overflow", _source_document("alpha*beta"),
+     ["total", "--method", "direct", "--assign", "alpha=1e200,beta=1e200"], False),
     ("unprintable-evaluated-number", _source_document("alpha^20000"),
      ["total", "--method", "direct", "--assign", "alpha=2"], False),
     ("unprintable-coefficient", _source_document("2^20000"),
@@ -378,6 +382,15 @@ def test_hostile_input_exits_two_with_one_error_line(run_cli, tmp_path, monkeypa
     lines = result.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in result.err
+
+
+@pytest.mark.parametrize("content, argv", [row[1:3] for row in HOSTILE_INPUTS],
+                         ids=[row[0] for row in HOSTILE_INPUTS])
+def test_hostile_input_prints_nothing_to_stdout(run_cli, tmp_path, content, argv):
+    path = tmp_path / "input"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    result = run_cli(argv[0], str(path), *argv[1:])
+    assert (result.code, result.out) == (2, "")
 
 
 def test_difference_too_large_to_print_still_exits_one(run_cli, tmp_path, monkeypatch):

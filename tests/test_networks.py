@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +15,7 @@ from tensordag import (CellCapExceeded, CycleDetected, ExplicitActivation,
                        FamilyArityMismatch, InvalidNetwork, JukesCantor,
                        NetworkSpec, NodeSpec, Permutation, PolyScalar,
                        PreparedNetwork, QuantumThresholdOne, SourceVector,
-                       Tensor, ThresholdOne, activation_tensor, blow,
+                       StochasticCheck, Tensor, ThresholdOne, activation_tensor, blow,
                        ensure_valid, node_pipeline, node_tensors,
                        outer_product, parse_expr, parse_network,
                        sigma_transpose, stochastic_report,
@@ -397,6 +397,11 @@ def small_networks(draw):
 
 def _count_direct_multiplies(spec, monkeypatch):
     """``total_direct(spec)`` and the number of ``PolyScalar.__mul__`` calls it made."""
+    return _count_multiplies(total_direct, spec, monkeypatch)
+
+
+def _count_multiplies(route, spec, monkeypatch):
+    """``route(spec)`` and the number of ``PolyScalar.__mul__`` calls it made."""
     calls = 0
     multiply = PolyScalar.__mul__
 
@@ -407,7 +412,7 @@ def _count_direct_multiplies(spec, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(PolyScalar, "__mul__", counting)
-        total = total_direct(spec)
+        total = route(spec)
     return total, calls
 
 
@@ -460,6 +465,24 @@ class TestPrefixSharedDirect:
         assert_matches_table(total_bmp(spec), table)
 
 
+class TestOneContractionKernel:
+    @pytest.mark.parametrize("workload, multiplies", [("mono-n2-d12", 45_056),
+                                                      ("poly-n3-d7", 13_122)])
+    def test_product_route_multiply_count_is_pinned(self, monkeypatch, workload, multiplies):
+        # The blown ties leave one h per cell: 4096 cells x 11 multiplies, 2187 x 6.
+        doc = _load("docgen", monkeypatch).generate(workload, 1)[0]
+        spec = parse_network(doc.text)
+        total, calls = _count_multiplies(total_bmp, spec, monkeypatch)
+        assert calls == multiplies
+        assert total == total_direct(spec)
+
+    @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
+    def test_direct_route_runs_without_the_contraction(self, build, table, monkeypatch):
+        monkeypatch.setattr(tensors, "_contract", _refuse)
+        monkeypatch.setattr(networks, "_contract", _refuse)
+        assert_matches_table(total_direct(build()), table)
+
+
 def _keeps_parents_first(spec, placement):
     position = {j: k for k, j in enumerate(placement)}
     ids = {node.id: i for i, node in enumerate(spec.nodes)}
@@ -494,6 +517,32 @@ def _redeclare(spec, placement):
     return NetworkSpec(spec.arity, tuple(nodes))
 
 
+#: Weights that often sum to 1 over two or three states, with hard zeros.
+WEIGHT_TEXTS = ("0", "1", "1/2", "1/3", "2/3", "alpha")
+
+
+@st.composite
+def one_child_networks(draw):
+    """1-3 source vectors over 2-3 states and one child of a random family fed by all."""
+    n, p = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    weight = st.sampled_from(WEIGHT_TEXTS).map(parse_expr)
+    families = [ExplicitActivation]
+    if p == 1:
+        families.append(JukesCantor)
+    if n == 2:
+        families += [ThresholdOne, QuantumThresholdOne]
+    family = draw(st.sampled_from(families))
+    if family is ExplicitActivation:
+        child = ExplicitActivation(tuple(draw(weight) for _ in range(n ** (p + 1))))
+    elif family is ThresholdOne:
+        child = ThresholdOne(draw(weight))
+    else:
+        child = family(draw(weight), draw(weight))
+    sources = [NodeSpec(f"s{i}", (), SourceVector(tuple(draw(weight) for _ in range(n))))
+               for i in range(p)]
+    return NetworkSpec(n, (*sources, NodeSpec("c", tuple(s.id for s in sources), child)))
+
+
 class TestStochasticReport:
     def test_parameterized_weights_are_not_stochastic(self):
         checks = stochastic_report(chain_network())
@@ -525,6 +574,20 @@ class TestStochasticReport:
         assert checks[1].failing_input == (0,)
         assert checks[1].failing_sum == Fraction(3, 4)
 
+    @settings(max_examples=80, deadline=None)
+    @given(one_child_networks())
+    def test_report_matches_the_per_cell_marginals(self, spec):
+        n = spec.arity
+        for node, check in zip(spec.nodes, stochastic_report(spec)):
+            tensor = activation_tensor(node.activation, len(node.parents), n)
+            failing = None
+            for combo in product(range(n), repeat=tensor.order - 1):
+                marginal = sum((tensor[combo + (out,)] for out in range(n)), ZERO)
+                if marginal != 1:
+                    failing = (combo, marginal)
+                    break
+            assert check == StochasticCheck(node.id, failing is None, *(failing or ()))
+
 
 class TestLazyEvaluation:
     def test_lazy_cells_match_materialized(self):
@@ -554,4 +617,19 @@ class TestLazyEvaluation:
         prepared = PreparedNetwork(spec)
         for _ in range(25):
             idx = tuple(rng.randrange(2) for _ in range(12))
+            assert prepared.total_bmp_cell(idx) == prepared.total_direct_cell(idx)
+
+    def test_product_cell_matches_the_direct_cell_at_forty_nodes(self):
+        # 2**40 cells: only the lazy contraction of 40 fibers of 2 cells can reach them
+        rng = random.Random(113)
+        entries = [parse_expr(text) for text in ENTRY_TEXTS if text != "0"]
+        nodes = []
+        for i in range(40):
+            parents = tuple(f"v{j}" for j in sorted(rng.sample(range(i), min(i, 2))))
+            cells = tuple(rng.choice(entries) for _ in range(2 ** (len(parents) + 1)))
+            activation = ExplicitActivation(cells) if parents else SourceVector(cells)
+            nodes.append(NodeSpec(f"v{i}", parents, activation))
+        prepared = PreparedNetwork(NetworkSpec(2, tuple(nodes)))
+        for _ in range(50):
+            idx = tuple(rng.randrange(2) for _ in range(40))
             assert prepared.total_bmp_cell(idx) == prepared.total_direct_cell(idx)
