@@ -71,9 +71,10 @@ def cmd_node_tensors(args: argparse.Namespace) -> int:
         selected = [ids.index(args.node)]
     else:
         selected = list(range(len(ids)))
+    prepared = networks.PreparedNetwork(spec, args.max_cells)
     blocks: list[str] = []
     for i in selected:
-        pipeline = networks.node_pipeline(spec, i, max_cells=args.max_cells)
+        pipeline = networks._pipeline(prepared, i)
         if args.stages:
             blocks.append(f"node {ids[i]} stage widened\n" + netio.serialize_tensor(pipeline.widened))
             if pipeline.blown is not None:

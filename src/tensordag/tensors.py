@@ -24,6 +24,11 @@ The expansions and :func:`bmp` gather cells by the unchecked offsets of
 ``Tensor[...]``, so the two total routes share no index arithmetic.
 ``_contract`` is the one sum of factor products over the contracted index:
 :func:`bmp` and the network layer's lazy product cell both reduce with it.
+Blow and forget copy each entry into many cells, so many terms of a product
+share a prefix of the same factor cells; ``_contract`` memoizes partial
+products by the identity of their operands, in a memo that the caller owns
+(one per :func:`bmp` call, holding at most one result's worth of products),
+so each shared prefix is multiplied once.
 """
 
 from __future__ import annotations
@@ -133,10 +138,53 @@ def _product(cells: Iterable[PolyScalar]) -> PolyScalar:
     return value
 
 
-def _contract(fibers: Iterable[Sequence[PolyScalar]]) -> PolyScalar:
+def _contract(fibers: Iterable[Sequence[PolyScalar]],
+              products: dict[tuple[int, int], PolyScalar], limit: int) -> PolyScalar:
     """One product cell: the sum over h of the product of every fiber's cell h, where a
-    fiber is the run of one factor's cells along its contracted axis through that cell."""
-    return sum(map(_product, zip(*fibers)), _ZERO)
+    fiber is the run of one factor's cells along its contracted axis through that cell.
+
+    Each term multiplies its cells left to right, as in :func:`_product`, and stops
+    with zero at its first zero cell; its last cell is tested first, so a term whose
+    last cell is zero makes no multiply.  ``products`` is a memo that the caller
+    creates and passes to every cell it contracts: it maps ``(id(left), id(right))``
+    to ``left * right``, so a prefix that many terms share is multiplied once.  Only
+    partial products go through the memo; a term's last multiply is neither looked up
+    nor stored.  A new partial product is stored while the memo holds fewer than
+    ``limit`` entries, and callers pass the result's cell count, so the memo holds at
+    most one result's worth of products.  Once it is full, lookups go on but nothing
+    more is stored.
+
+    The ``id`` keys are safe because every operand named in a stored key stays alive
+    while the memo does: the right operand is a factor cell, and the left one is a
+    factor cell or a product stored in the memo.  So no other object can take such an
+    id, and a lookup matches only the very pair it names.  The caller must drop the
+    memo no later than the factors.
+    """
+    get = products.get
+    terms = []
+    for *head, last in zip(*fibers):
+        if last.is_zero():
+            terms.append(_ZERO)
+            continue
+        value = _ONE
+        for cell in head:
+            if cell.is_zero():
+                value = _ZERO
+                break
+            if value is _ONE:
+                value = cell
+                continue
+            key = (id(value), id(cell))
+            stored = get(key)
+            if stored is None:
+                stored = value * cell
+                if len(products) < limit:
+                    products[key] = stored
+            value = stored
+        else:
+            value = last if value is _ONE else value * last
+        terms.append(value)
+    return sum(terms, _ZERO)
 
 
 class Tensor:
@@ -284,7 +332,10 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
                                      for axis, s in enumerate(t._strides)])
              for k, t in enumerate(factors)]
     steps = [t._strides[contracted[k]] for k, t in enumerate(factors)]
-    cells = [_contract(t.cells[b:b + l * s:s] for t, b, s in zip(factors, base, steps))
+    products: dict[tuple[int, int], PolyScalar] = {}
+    limit = math.prod(result_shape)
+    cells = [_contract((t.cells[b:b + l * s:s] for t, b, s in zip(factors, base, steps)),
+                       products, limit)
              for base in zip(*bases)]
     return Tensor(tuple(result_shape), cells)
 

@@ -126,6 +126,20 @@ class TestNodeTensors:
         assert result.code == 0
         assert result.out == "node solo\nshape: 2\n1 = alpha\n2 = beta\n"
 
+    @pytest.mark.parametrize("extra", [(), ("--stages",), ("--node", "e")])
+    def test_each_activation_is_built_once(self, run_cli, fixtures_dir, monkeypatch, extra):
+        built = []
+        activation_tensor = networks.activation_tensor
+
+        def counting(*args):
+            built.append(args)
+            return activation_tensor(*args)
+
+        monkeypatch.setattr(networks, "activation_tensor", counting)
+        result = run_cli("node-tensors", str(fixtures_dir / "five_node.json"), *extra)
+        assert result.code == 0
+        assert len(built) == 5
+
 
 class TestTotal:
     def test_methods_agree_on_chain(self, run_cli, fixtures_dir):

@@ -466,10 +466,11 @@ class TestPrefixSharedDirect:
 
 
 class TestOneContractionKernel:
-    @pytest.mark.parametrize("workload, multiplies", [("mono-n2-d12", 45_056),
-                                                      ("poly-n3-d7", 13_122)])
+    @pytest.mark.parametrize("workload, multiplies", [("mono-n2-d12", 8_188),
+                                                      ("poly-n3-d7", 3_276)])
     def test_product_route_multiply_count_is_pinned(self, monkeypatch, workload, multiplies):
-        # The blown ties leave one h per cell: 4096 cells x 11 multiplies, 2187 x 6.
+        # The blown ties leave one h per cell, and the memo multiplies each shared
+        # prefix once: n^2 + ... + n^d, the direct route's count.
         doc = _load("docgen", monkeypatch).generate(workload, 1)[0]
         spec = parse_network(doc.text)
         total, calls = _count_multiplies(total_bmp, spec, monkeypatch)

@@ -12,6 +12,8 @@ from tensordag import (CardinalityMismatch, OrderMismatch, Permutation, PolyScal
                        PositionOutOfRange, ShapeMismatch, SlotOutOfRange, Tensor,
                        blow, bmp, forget, identitary, outer_product, parse_expr,
                        sigma_transpose, summand_ordered_bmp)
+from tensordag.scalars import _ONE, _ZERO
+from tensordag.tensors import _contract
 from golden import (ALPHA, BETA, CONFIRMED_PRODUCT_CELLS, COUNTING_CUBE_PRODUCT,
                     REJECTED_PRODUCT_CELLS, counting_cube, random_int_tensor)
 
@@ -521,3 +523,63 @@ class TestReferenceEquivalence:
             return total
 
         assert bmp(factors) == Tensor.from_function(shape, cell)
+
+
+#: Cells shared by every factor, so that many terms repeat a (left, right) pair.
+SHARED_CELLS = (_ZERO, _ONE, ALPHA, parse_expr("-2"), parse_expr("1/2*beta + alpha"),
+                parse_expr("alpha^2*beta"))
+
+
+def plain_bmp_cell(factors, i, l):
+    """``sum over h of prod_k T_k[i with axis (k+1)%d set to h]``, with fresh multiplies."""
+    d = len(factors)
+    total = PolyScalar.zero()
+    for h in range(l):
+        term = PolyScalar.constant(1)
+        for k, t in enumerate(factors):
+            term = term * t[i[:(k + 1) % d] + (h,) + i[(k + 1) % d + 1:]]
+        total = total + term
+    return total
+
+
+class TestProductMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bmp_of_shared_cells(self, data):
+        d = data.draw(st.integers(2, 4))
+        shape = data.draw(st.lists(dims, min_size=d, max_size=d))
+        l = data.draw(dims)
+        cell = st.sampled_from(SHARED_CELLS)
+        factors = []
+        for k in range(d):
+            factor_shape = list(shape)
+            factor_shape[(k + 1) % d] = l
+            n = math.prod(factor_shape)
+            factors.append(Tensor(factor_shape, data.draw(st.lists(cell, min_size=n,
+                                                                   max_size=n))))
+        assert bmp(factors) == Tensor.from_function(
+            shape, lambda i: plain_bmp_cell(factors, i, l))
+
+    def test_a_full_memo_is_read_but_not_grown(self):
+        _, _, a, m, p, q = SHARED_CELLS
+        fibers = [[a, a, m, a], [m, m, a, p], [p, q, m, m]]  # terms 0 and 1 share a * m
+        expected = sum((f0 * f1 * f2 for f0, f1, f2 in zip(*fibers)), PolyScalar.zero())
+        full = {(-1, -k): _ZERO for k in range(3)}  # no id is negative
+        assert _contract(fibers, full, 3) == expected
+        assert full == {(-1, -k): _ZERO for k in range(3)}
+        grown: dict = {}
+        assert _contract(fibers, grown, 100) == expected
+        assert len(grown) == 3  # a*m, m*a, a*p; no term's last multiply
+        bounded: dict = {}
+        assert _contract(fibers, bounded, 2) == expected
+        assert len(bounded) == 2
+
+    def test_a_term_with_a_zero_last_cell_makes_no_multiply(self, monkeypatch):
+        _, _, a, m, p, _ = SHARED_CELLS
+        expected = m * a * p
+        calls = []
+        multiply = PolyScalar.__mul__
+        monkeypatch.setattr(PolyScalar, "__mul__",
+                            lambda self, other: calls.append(1) or multiply(self, other))
+        assert _contract([[a, m], [m, a], [_ZERO, p]], {}, 2) == expected
+        assert len(calls) == 2  # both in term 1; term 0 ends in a zero
