@@ -116,11 +116,14 @@ def cmd_total(args: argparse.Namespace) -> int:
             print(f"DIFFER at {key}")
         return 1
     compute = networks.total_direct if args.method == "direct" else networks.total_bmp
-    tensor = compute(spec, max_cells=args.max_cells)
-    if args.assign is not None:
-        _print_evaluated(tensor, netio.parse_assignment(args.assign))
-    else:
-        print(netio.serialize_tensor(tensor), end="")
+    if args.assign is None:
+        print(netio.serialize_tensor(compute(spec, max_cells=args.max_cells)), end="")
+        return 0
+    bindings = netio.parse_assignment(args.assign)
+    # Exact bindings: evaluate each entry once, and the route multiplies numbers.
+    evaluated = networks.evaluated_network(spec, bindings)
+    tensor = compute(spec if evaluated is None else evaluated, max_cells=args.max_cells)
+    _print_evaluated(tensor, bindings)
     return 0
 
 

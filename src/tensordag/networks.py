@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text
+from .scalars import (_MAX_POWER_BITS, _ONE, _ZERO, Assignment, PolyScalar, TensordagInputError,
+                      _size_bits, count_text)
 from .tensors import Tensor, _contract, _product, blow, forget, summand_ordered_bmp
 
 #: Materializing a tensor with more cells than this is refused by default;
@@ -544,6 +545,78 @@ def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     """
     bs = node_tensors(spec, max_cells)
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
+
+
+def _entries(activation: ActivationSpec) -> list[PolyScalar]:
+    """Every entry an activation lists, field by field."""
+    entries: list[PolyScalar] = []
+    for field in fields(activation):
+        value = getattr(activation, field.name)
+        if field.name == "entries":
+            entries.extend(value)
+        else:
+            entries.append(value)
+    return entries
+
+
+def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | None:
+    """``spec`` with every activation entry replaced by its value at exact
+    ``bindings``, or None where evaluating the symbolic total cell by cell
+    could print or refuse something else, or would cost no more.
+
+    Evaluation at a point is a ring homomorphism, so either route's total of
+    the result holds the symbolic total's cells evaluated.  Each distinct
+    entry with a parameter is evaluated once; constant entries are kept as
+    they are.  The result is None when:
+
+    * a binding is a float, since float products and sums do not associate;
+    * an entry names a parameter with no binding, which the symbolic total
+      reports only where the entry is not multiplied by zero;
+    * the nodes' largest term sizes, a term's size being the sum of
+      ``_size_bits(binding) * power`` over its parameters, add up to over
+      ``_MAX_POWER_BITS``.  A term of a total cell is a product of one term
+      per node, so under that bound no term of a cell, nor of an entry, can
+      be refused;
+    * the activations list at least as many entries as the total has
+      cells, or none with a parameter.  An entry's evaluation costs about
+      what a cell's does, so evaluating first would then save nothing.
+    """
+    if any(isinstance(value, float) for value in bindings.values()):
+        return None
+    node_entries = [_entries(node.activation) for node in spec.nodes]
+    if sum(map(len, node_entries)) >= spec.arity ** spec.node_count:
+        return None
+    sizes = {name: _size_bits(value) for name, value in bindings.items()}
+    largest: dict[PolyScalar, int] = {}  # distinct entries with a parameter: largest term size
+    bits = 0
+    for entries in node_entries:
+        node_bits = 0
+        for entry in entries:
+            names = entry.parameters()
+            if not names:
+                continue  # a constant is kept as it is
+            entry_bits = largest.get(entry)
+            if entry_bits is None:
+                if not names <= sizes.keys():
+                    return None
+                entry_bits = largest[entry] = max(
+                    sum(sizes[name] * power for name, power in mono) for mono, _ in entry.terms())
+            node_bits = max(node_bits, entry_bits)
+        bits += node_bits
+        if bits > _MAX_POWER_BITS:
+            return None
+    if not largest:
+        return None
+    values = {entry: PolyScalar.constant(entry.evaluate(bindings)) for entry in largest}
+
+    def evaluated(activation: ActivationSpec) -> ActivationSpec:
+        return replace(activation, **{
+            field.name: (tuple(values.get(entry, entry) for entry in held)
+                         if field.name == "entries" else values.get(held, held))
+            for field in fields(activation) for held in [getattr(activation, field.name)]})
+
+    return replace(spec, nodes=tuple(replace(node, activation=evaluated(node.activation))
+                                     for node in spec.nodes))
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,8 @@ class PolyScalar:
             TensordagInputError: the exact powers in one term would together
                 need over _MAX_POWER_BITS bits, or a float result overflows.
         """
+        if self._terms.keys() <= {()}:  # zero or a constant: the loop's value, without it
+            return _reduced(self._terms.get((), 0), self._den)
         sizes = {name: _size_bits(value) for name, value in assignment.items()}
         total: int | Fraction | float = 0
         try:

@@ -1,12 +1,19 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import tensordag
-from tensordag import PolyScalar, Tensor, TensordagInputError, networks
+from tensordag import PolyScalar, Tensor, TensordagInputError, cli, netio, networks
 from tensordag.networks import VerificationResult
+from test_bench_oracle import _load
+from test_networks import small_networks
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -223,6 +230,149 @@ class TestTotal:
         with pytest.raises(SystemExit):
             run_cli("total", str(fixtures_dir / "chain.json"))
 
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    @pytest.mark.parametrize("assign", ["alpha=", "alpha=1/0", "alpha=1,alpha=2", "1alpha=3"])
+    def test_bad_assign_is_refused_before_any_route_work(self, run_cli, fixtures_dir,
+                                                         monkeypatch, method, assign):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route ran before --assign was parsed")
+
+        monkeypatch.setattr(networks, "total_direct", refuse)
+        monkeypatch.setattr(networks, "total_bmp", refuse)
+        result = run_cli("total", str(fixtures_dir / "five_node.json"), "--method", method,
+                         "--assign", assign)
+        assert (result.code, result.out) == (2, "")
+        lines = result.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_bad_assign_is_reported_before_the_cell_cap(self, run_cli, fixtures_dir):
+        result = run_cli("total", str(fixtures_dir / "five_node.json"), "--method", "direct",
+                         "--max-cells", "31", "--assign", "alpha=")
+        assert (result.code, result.out) == (2, "")
+        assert result.err == "error: expected 'name=value', got 'alpha='\n"
+
+
+#: Exact binding values: integers, fractions, negatives and zero, and the
+#: roots of the entries ``1/3*alpha + 1/2`` and ``2/5*beta - 3/7``.
+BINDING_VALUES = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=7),
+                           st.sampled_from([Fraction(-3, 2), Fraction(15, 14)]))
+
+
+def _evaluated_per_cell(spec, bindings) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of evaluating the symbolic direct total cell by cell."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            cli._print_evaluated(networks.total_direct(spec), bindings)
+    except TensordagInputError as err:
+        return 2, "", f"error: {err}\n"
+    return 0, out.getvalue(), ""
+
+
+def _chain_document(source: list[str], *jukes_cantor: tuple[str, str]) -> str:
+    """A source vector feeding a chain of Jukes-Cantor nodes, each ``(alpha, beta)``."""
+    nodes = [{"id": "n0", "parents": [], "activation": {"type": "vector", "entries": source}}]
+    for i, (alpha, beta) in enumerate(jukes_cantor, start=1):
+        nodes.append({"id": f"n{i}", "parents": [f"n{i - 1}"], "activation": {
+            "type": "jukes_cantor", "alpha": alpha, "beta": beta}})
+    return json.dumps({"arity": 2, "nodes": nodes})
+
+
+def _power_sources_document(count: int, exponent: int) -> str:
+    """``count`` sources ``[a_i^exponent, 1]``."""
+    return json.dumps({"arity": 2, "nodes": [
+        {"id": f"n{i}", "activation": {"type": "vector", "entries": [f"a{i}^{exponent}", "1"]}}
+        for i in range(count)]})
+
+
+class TestEvaluateFirst:
+    """Exact ``--assign`` bindings evaluate each activation entry once and the
+    route multiplies numbers; the output and every refusal are those of
+    evaluating the symbolic total cell by cell."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_networks(), st.fixed_dictionaries({"alpha": BINDING_VALUES,
+                                                    "beta": BINDING_VALUES}))
+    def test_both_routes_print_the_per_cell_values(self, run_cli, tmp_path, spec, bindings):
+        path = tmp_path / "network.json"
+        path.write_text(netio.serialize_network(spec))
+        assign = ",".join(f"{name}={value}" for name, value in bindings.items())
+        expected = _evaluated_per_cell(spec, bindings)
+        for method in ("direct", "bmp"):
+            result = run_cli("total", str(path), "--method", method, "--assign", assign)
+            assert (result.code, result.out, result.err) == expected, method
+
+    @pytest.mark.parametrize("workload, evaluations", [("poly-n3-d7", 30), ("mono-n2-d12", 24)])
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_each_distinct_entry_is_evaluated_once(self, run_cli, tmp_path, monkeypatch,
+                                                   workload, evaluations, method):
+        doc = _load("docgen", monkeypatch).generate(workload, 1)[0]
+        path = tmp_path / "network.json"
+        path.write_text(doc.text)
+        spec = netio.parse_network(doc.text)
+        distinct = {entry for node in spec.nodes for entry in node.activation.entries
+                    if entry.parameters()}
+        assert len(distinct) == evaluations
+        calls = 0
+        evaluate = PolyScalar.evaluate
+
+        def counting(self, bindings):
+            nonlocal calls
+            calls += bool(self.parameters())
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(PolyScalar, "evaluate", counting)
+        result = run_cli("total", str(path), "--method", method, "--assign", doc.assign)
+        assert result.code == 0
+        assert calls == evaluations  # the per-cell path made one per cell: 2187 and 4096
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    @pytest.mark.parametrize("chain, shape", [
+        ([("alpha", "gamma")], "2 x 2"),  # as many entries as cells: evaluated cell by cell
+        ([("alpha", "gamma"), ("alpha", "alpha")], "2 x 2 x 2"),  # fewer entries than cells
+    ])
+    def test_an_unbound_parameter_multiplied_by_zero_is_not_an_error(self, run_cli, tmp_path,
+                                                                       method, chain, shape):
+        path = tmp_path / "network.json"
+        path.write_text(_chain_document(["0", "0"], *chain))
+        result = run_cli("total", str(path), "--method", method, "--assign", "alpha=1")
+        assert (result.code, result.out, result.err) == (0, f"shape: {shape}\n", "")
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_an_unbound_parameter_is_named(self, run_cli, tmp_path, method):
+        path = tmp_path / "network.json"
+        path.write_text(_source_document("alpha*zeta"))
+        result = run_cli("total", str(path), "--method", method, "--assign", "alpha=1")
+        assert (result.code, result.out) == (2, "")
+        assert result.err == "error: no value bound for parameter 'zeta'\n"
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_the_power_bound_still_covers_a_whole_cell(self, run_cli, tmp_path, method):
+        # Each entry alone is 10^6 bits, under the limit; a cell's term is 8 * 10^6.
+        path = tmp_path / "network.json"
+        path.write_text(_power_sources_document(8, 1_000_000))
+        assign = ",".join(f"a{i}=2" for i in range(8))
+        result = run_cli("total", str(path), "--method", method, "--assign", assign)
+        assert (result.code, result.out) == (2, "")
+        assert result.err == ("error: an exact power of at least 2000000 bits is too large"
+                              " to compute (the limit is 1048576)\n")
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_float_bindings_evaluate_each_cell(self, run_cli, tmp_path, method):
+        # Cell 1,1,1 is (alpha + beta)^2, evaluated term by term as
+        # alpha^2 + 2*alpha*beta + beta^2; (0.1 + 0.3) ** 2 rounds differently.
+        document = _chain_document(["alpha + beta", "1"], ("alpha + beta", "beta"), ("1", "0"))
+        path = tmp_path / "network.json"
+        path.write_text(document)
+        bindings = {"alpha": 0.1, "beta": 0.3}
+        assert networks.evaluated_network(netio.parse_network(document), bindings) is None
+        assert (0.1 + 0.3) ** 2 != 0.16
+        result = run_cli("total", str(path), "--method", method,
+                         "--assign", "alpha=0.1,beta=0.3")
+        assert result.code == 0
+        assert "1,1,1 = 0.16\n" in result.out
+
 
 class TestBmpCommand:
     def test_matrix_product(self, run_cli, fixtures_dir):
@@ -373,6 +523,10 @@ HOSTILE_INPUTS = [
      ["bmp"], False),
     ("stochastic-activation-above-cap", _threshold_sink_document(24),
      ["validate", "--check-stochastic"], True),
+    ("assign-power-bound-across-nodes", _power_sources_document(8, 1_000_000),
+     ["total", "--method", "bmp", "--assign", ",".join(f"a{i}=2" for i in range(8))], False),
+    ("assign-unbound-parameter", _source_document("alpha*zeta"),
+     ["total", "--method", "direct", "--assign", "alpha=1"], False),
 ]
 
 

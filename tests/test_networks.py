@@ -634,3 +634,47 @@ class TestLazyEvaluation:
         for _ in range(50):
             idx = tuple(rng.randrange(2) for _ in range(40))
             assert prepared.total_bmp_cell(idx) == prepared.total_direct_cell(idx)
+
+
+class TestEvaluatedNetwork:
+    @staticmethod
+    def chain(source, jukes_cantor, sink=(ALPHA, ZERO)) -> NetworkSpec:
+        """b -> c -> a over two states: 6 entries, 8 total cells."""
+        return NetworkSpec(2, (
+            NodeSpec("b", (), SourceVector(source)),
+            NodeSpec("c", ("b",), JukesCantor(*jukes_cantor)),
+            NodeSpec("a", ("c",), JukesCantor(*sink)),
+        ))
+
+    def test_equal_entries_share_one_value_and_constants_are_kept(self):
+        one, half_alpha = PolyScalar.constant(1), parse_expr("1/2*alpha")
+        spec = self.chain((one, half_alpha), (parse_expr("1/2*alpha"), ALPHA * BETA))
+        evaluated = networks.evaluated_network(spec, {"alpha": 3, "beta": Fraction(-1, 3)})
+        source, jukes_cantor, sink = (node.activation for node in evaluated.nodes)
+        assert source.entries[0] is one and sink.beta is ZERO
+        assert source.entries[1] is jukes_cantor.alpha == PolyScalar.constant(Fraction(3, 2))
+        assert jukes_cantor.beta == PolyScalar.constant(-1)
+        assert sink.alpha == PolyScalar.constant(3)
+        assert [node.parents for node in evaluated.nodes] == [(), ("b",), ("c",)]
+
+    @pytest.mark.parametrize("bindings, evaluates", [
+        ({"alpha": 2, "beta": 0.5}, False),      # a float binding
+        ({"alpha": 2}, False),                   # beta has no binding
+        ({"alpha": 2 ** 9, "beta": 1}, False),   # 9 * 40 000 bits a node, over 2^20 for three
+        ({"alpha": 2 ** 8, "beta": 1}, True),    # 8 * 40 000 bits a node
+    ])
+    def test_none_where_evaluating_first_could_differ(self, bindings, evaluates):
+        power = parse_expr("alpha^40000")
+        spec = self.chain((power, BETA), (power, ZERO), (power, ZERO))
+        assert (networks.evaluated_network(spec, bindings) is not None) == evaluates
+
+    def test_none_where_evaluating_first_saves_no_evaluation(self):
+        bindings = {"alpha": 1, "beta": 2}
+        three = PolyScalar.constant(3)
+        assert networks.evaluated_network(self.chain((ZERO, three), (three, ZERO), (three, three)),
+                                          bindings) is None
+        # as many entries as cells
+        two_nodes = NetworkSpec(2, self.chain((ALPHA, BETA), (ALPHA, BETA)).nodes[:2])
+        assert networks.evaluated_network(two_nodes, bindings) is None
+        assert networks.evaluated_network(self.chain((ALPHA, BETA), (ALPHA, BETA)),
+                                          bindings) is not None

@@ -161,6 +161,19 @@ class TestEvaluation:
             term.evaluate({"alpha": 2, "beta": 2})
         assert term.evaluate({"alpha": 2, "beta": 1}) == 2 ** 600_000
 
+    @pytest.mark.parametrize("value, kind", [(0, int), (3, int), (-4, int), (Fraction(6, 3), int),
+                                             (Fraction(1, 2), Fraction),
+                                             (Fraction(-7, 3), Fraction)])
+    def test_constants_evaluate_like_the_term_loop(self, value, kind):
+        # p * alpha at alpha = 1 has p's value and, unless p is zero, a parameter,
+        # so it takes the term loop; the loop over no terms returns the int 0
+        p = PolyScalar.constant(value)
+        looped = (p * ALPHA).evaluate({"alpha": 1})
+        for bindings in ({}, {"alpha": 0.5}, {"alpha": Fraction(1, 3)}):
+            result = p.evaluate(bindings)
+            assert result == looped == value
+            assert type(result) is type(looped) is kind
+
 
 class TestParsing:
     def test_single_monomial(self):
