@@ -21,8 +21,10 @@ The module computes it two independent ways:
   tensor (insert missing axes with :func:`~tensordag.tensors.forget`, tie a
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
   and then takes one summand-ordered Bhattacharya-Mesner product with the
-  sink's tensor first.  The expansions copy each entry into many cells, and
-  the product multiplies each prefix that many terms share once.
+  sink's tensor first.  The node tensors are views of the activations that
+  copy no entry, and the product multiplies each node's factor in at the
+  node's own axis, so it too makes each prefix product once; the blown ties
+  leave it one term per cell.
 
 The two results are exactly equal for every valid network; `verify_totals`
 checks that equality cell by cell and is wired to the CLI ``total --method
@@ -453,13 +455,13 @@ class PreparedNetwork:
 
     def total_bmp_cell(self, idx: tuple[int, ...]) -> PolyScalar:
         """Product-formula cell evaluated lazily: one contraction of d fibers of n cells,
-        with a fresh memo bounded by its one cell, so it costs O(n·d) work."""
+        so it costs O(n·d) work."""
         if self.d == 1:
             return self.node_tensor_cell(0, idx)
         # Factor at summand position m is contracted in axis m: the sink
         # tensor at m = 0, node tensor B_{m-1} for m >= 1.
         return _contract([[self.node_tensor_cell((m - 1) % self.d, idx[:m] + (h,) + idx[m + 1:])
-                           for h in range(self.arity)] for m in range(self.d)], {}, 1)
+                           for h in range(self.arity)] for m in range(self.d)])
 
 
 def node_pipeline(spec: NetworkSpec, index: int,
@@ -533,7 +535,7 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
         else:
             prefixes[j + 1] = value
             j += 1
-    return Tensor((n,) * d, cells)
+    return Tensor._view((n,) * d, cells)
 
 
 def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
@@ -666,8 +668,7 @@ def verify_totals(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Verif
     """Compute both totals and compare exactly, reporting the first mismatch.
 
     Cells are compared in row-major index order, so the reported first
-    difference is deterministic.  The product route runs first, so the direct
-    total is not yet alive while ``bmp`` holds its memo of partial products.
+    difference is deterministic.
     """
     via_product = total_bmp(spec, max_cells)
     direct = total_direct(spec, max_cells)

@@ -1,9 +1,12 @@
-"""Dense tensors of arbitrary order with the n-ary Bhattacharya-Mesner product.
+"""Tensors of arbitrary order with the n-ary Bhattacharya-Mesner product.
 
 A :class:`Tensor` is an order-d array of :class:`~tensordag.scalars.PolyScalar`
-cells stored row-major (last index varies fastest).  Indices and axis numbers
-are 0-based throughout the Python API; the text formats in
-:mod:`tensordag.netio` present them 1-based.
+cells, held as a view: base cells, one stride per axis and a list of tied
+axis pairs.  The cell at index x is ``base[sum(x[a] * strides[a])]`` where
+every tied pair of coordinates agrees, and zero elsewhere; stride 0 marks an
+axis the tensor ignores.  A dense tensor has row-major strides (last index
+fastest) and no ties.  Indices and axis numbers are 0-based throughout the
+Python API; the text formats in :mod:`tensordag.netio` present them 1-based.
 
 The module provides the operations the rest of the package is built from:
 
@@ -19,16 +22,18 @@ The module provides the operations the rest of the package is built from:
 * :func:`outer_product` - rank-1 tensor from a list of vectors.
 
 All operations are pure; tensors are immutable after construction.
-The expansions and :func:`bmp` gather cells by the unchecked offsets of
-``_offsets``; the direct route reads only through the bounds-checked
-``Tensor[...]``, so the two total routes share no index arithmetic.
-``_contract`` is the one sum of factor products over the contracted index:
-:func:`bmp` and the network layer's lazy product cell both reduce with it.
-Blow and forget copy each entry into many cells, so many terms of a product
-share a prefix of the same factor cells; ``_contract`` memoizes partial
-products by the identity of their operands, in a memo that the caller owns
-(one per :func:`bmp` call, holding at most one result's worth of products),
-so each shared prefix is multiplied once.
+:func:`forget`, :func:`blow`, :func:`sigma_transpose` and :func:`identitary`
+are index maps: they return views over their input's base cells and copy no
+cell, and a view builds its row-major ``cells`` only when first asked.
+:func:`bmp` is one depth-first walk over the result axes that reads only its
+factors' strides and ties.  It multiplies each factor in at the deepest
+result axis the factor reads, so a product that many cells share is made
+once, and a tie on a contracted axis fixes the contracted index, so tied-off
+terms are never visited.  ``_contract`` is the one sum of factor products
+over the contracted index: the walk ends every cell with it, and so does the
+network layer's lazy product cell.  The direct route reads dense tensors
+only through the bounds-checked ``Tensor[...]``, so the two total routes
+share no index arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -138,59 +143,27 @@ def _product(cells: Iterable[PolyScalar]) -> PolyScalar:
     return value
 
 
-def _contract(fibers: Iterable[Sequence[PolyScalar]],
-              products: dict[tuple[int, int], PolyScalar], limit: int) -> PolyScalar:
+def _contract(fibers: Iterable[Sequence[PolyScalar]]) -> PolyScalar:
     """One product cell: the sum over h of the product of every fiber's cell h, where a
     fiber is the run of one factor's cells along its contracted axis through that cell.
 
     Each term multiplies its cells left to right, as in :func:`_product`, and stops
     with zero at its first zero cell; its last cell is tested first, so a term whose
-    last cell is zero makes no multiply.  ``products`` is a memo that the caller
-    creates and passes to every cell it contracts: it maps ``(id(left), id(right))``
-    to ``left * right``, so a prefix that many terms share is multiplied once.  Only
-    partial products go through the memo; a term's last multiply is neither looked up
-    nor stored.  A new partial product is stored while the memo holds fewer than
-    ``limit`` entries, and callers pass the result's cell count, so the memo holds at
-    most one result's worth of products.  Once it is full, lookups go on but nothing
-    more is stored.
-
-    The ``id`` keys are safe because every operand named in a stored key stays alive
-    while the memo does: the right operand is a factor cell, and the left one is a
-    factor cell or a product stored in the memo.  So no other object can take such an
-    id, and a lookup matches only the very pair it names.  The caller must drop the
-    memo no later than the factors.
+    last cell is zero makes no multiply.
     """
-    get = products.get
-    terms = []
-    for *head, last in zip(*fibers):
-        if last.is_zero():
-            terms.append(_ZERO)
-            continue
-        value = _ONE
-        for cell in head:
-            if cell.is_zero():
-                value = _ZERO
-                break
-            if value is _ONE:
-                value = cell
-                continue
-            key = (id(value), id(cell))
-            stored = get(key)
-            if stored is None:
-                stored = value * cell
-                if len(products) < limit:
-                    products[key] = stored
-            value = stored
-        else:
-            value = last if value is _ONE else value * last
-        terms.append(value)
-    return sum(terms, _ZERO)
+    return sum((_product(cells) for cells in zip(*fibers) if not cells[-1].is_zero()), _ZERO)
 
 
 class Tensor:
-    """Immutable dense tensor over PolyScalar cells."""
+    """Immutable tensor over PolyScalar cells, held as a view of base cells.
 
-    __slots__ = ("shape", "cells", "_strides")
+    The cell at index x is ``base[sum(x[a] * strides[a])]`` where every tied
+    pair of axes ``(j, k)`` has ``x[j] == x[k]``, and zero elsewhere.  A stride
+    of 0 marks an axis the tensor ignores.  ``Tensor(shape, cells)`` is dense:
+    row-major strides and no ties.
+    """
+
+    __slots__ = ("shape", "_base", "_strides", "_ties", "_cells")
 
     def __init__(self, shape: Iterable[int], cells: Iterable[PolyScalar | int | Fraction | str]):
         shape = tuple(shape)
@@ -202,9 +175,25 @@ class Tensor:
         expected = math.prod(shape)
         if len(cells) != expected:
             raise ValueError(f"shape {shape} needs {expected} cells, got {len(cells)}")
+        self._fill(shape, cells, None, ())
+
+    @classmethod
+    def _view(cls, shape: Shape, base: Iterable[PolyScalar], strides: Sequence[int] | None = None,
+              ties: Iterable[tuple[int, int]] = ()) -> "Tensor":
+        """A tensor over ``base`` taken as it is, unchecked: dense and row-major when
+        ``strides`` is None, else the view described in the class docstring."""
+        t = object.__new__(cls)
+        t._fill(tuple(shape), tuple(base), strides, tuple(ties))
+        return t
+
+    def _fill(self, shape: Shape, base: tuple[PolyScalar, ...], strides: Sequence[int] | None,
+              ties: tuple[tuple[int, int], ...]) -> None:
+        dense = strides is None
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_strides", _strides(shape))
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_strides", _strides(shape) if dense else tuple(strides))
+        object.__setattr__(self, "_ties", ties)
+        object.__setattr__(self, "_cells", base if dense else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -215,7 +204,22 @@ class Tensor:
 
     @property
     def ncells(self) -> int:
-        return len(self.cells)
+        return math.prod(self.shape)
+
+    @property
+    def cells(self) -> tuple[PolyScalar, ...]:
+        """Every cell in row-major order (last index fastest), built on first use."""
+        cells = self._cells
+        if cells is None:
+            found = map(self._base.__getitem__, _offsets(self.shape, self._strides))
+            if self._ties:
+                gaps = zip(*(_offsets(self.shape, [(a == j) - (a == k) for a in range(self.order)])
+                             for j, k in self._ties))
+                cells = tuple(_ZERO if any(gap) else cell for cell, gap in zip(found, gaps))
+            else:
+                cells = tuple(found)
+            object.__setattr__(self, "_cells", cells)
+        return cells
 
     @classmethod
     def from_function(cls, shape: Iterable[int],
@@ -253,6 +257,7 @@ class Tensor:
         return product(*(range(dim) for dim in self.shape))
 
     def offset(self, idx: tuple[int, ...]) -> int:
+        """Bounds-checked position of ``idx`` in the base cells."""
         if len(idx) != len(self.shape):
             raise IndexError(f"index {idx} has {len(idx)} axes, tensor has {len(self.shape)}")
         flat = 0
@@ -263,7 +268,10 @@ class Tensor:
         return flat
 
     def __getitem__(self, idx: tuple[int, ...]) -> PolyScalar:
-        return self.cells[self.offset(idx)]
+        flat = self.offset(idx)
+        if self._ties and any(idx[j] != idx[k] for j, k in self._ties):
+            return _ZERO
+        return self._base[flat]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
@@ -327,17 +335,91 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
                     arg=k, slot=axis, expected=expected, got=factors[k].shape[axis])
         result_shape[axis] = expected
 
-    # Per factor: offsets with the contracted coordinate at 0, and its stride.
-    bases = [_offsets(result_shape, [0 if axis == contracted[k] else s
-                                     for axis, s in enumerate(t._strides)])
-             for k, t in enumerate(factors)]
-    steps = [t._strides[contracted[k]] for k, t in enumerate(factors)]
-    products: dict[tuple[int, int], PolyScalar] = {}
-    limit = math.prod(result_shape)
-    cells = [_contract((t.cells[b:b + l * s:s] for t, b, s in zip(factors, base, steps)),
-                       products, limit)
-             for base in zip(*bases)]
-    return Tensor(tuple(result_shape), cells)
+    result_shape = tuple(result_shape)
+    return Tensor._view(result_shape, _walk(factors, contracted, result_shape, l))
+
+
+def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) -> list[PolyScalar]:
+    """The product's cells in row-major order, from one depth-first walk over the
+    result axes that reads only the factors' strides and ties.
+
+    A tie between a factor's contracted axis and result axis a zeroes every term
+    but h = x[a].  If any factor has such a tie, h is fixed to the smallest such a:
+    every factor's stride in its contracted axis moves to axis a, and a cell sums
+    one term.  Otherwise h is free and a cell sums l terms.  A prefix holds one
+    product per term, and each cell ends with :func:`_contract` over the terms.
+    Every other tie is a guard, which zeroes the factor's cell unless its two
+    result coordinates agree.
+
+    Each factor is multiplied in at the deepest result axis it reads, by a stride
+    or a guard, so the product of the factors read down to axis j is made once per
+    index prefix ``x[:j+1]`` and shared by every cell under it.  A zero prefix
+    emits its subtree as zero cells, and the axes below the deepest one read
+    repeat their cell.
+    """
+    d = len(shape)
+    fixed = min((b if a == c else a for t, c in zip(factors, contracted)
+                 for a, b in t._ties if c in (a, b)), default=None)
+    levels: list[list] = [[] for _ in range(d)]
+    for t, c in zip(factors, contracted):
+        strides = list(t._strides)
+        step, strides[c] = strides[c], 0
+        if fixed is not None:
+            strides[fixed] += step
+            step = 0
+        reads = [(a, s) for a, s in enumerate(strides) if s]
+        guards = [(a, b) for a, b in ((fixed if a == c else a, fixed if b == c else b)
+                                      for a, b in t._ties) if a != b]
+        depth = max([a for a, _ in reads] + [max(guard) for guard in guards], default=0)
+        levels[depth].append((t._base, reads, step, guards))
+    last = max(j for j, level in enumerate(levels) if level)
+
+    width = l if fixed is None else 1  # the terms a cell sums
+
+    def runs(level, x):
+        """Each factor's cells over the terms at the index prefix x, or None where a
+        guard fails."""
+        out = []
+        for base, reads, step, guards in level:
+            if guards and any(x[a] != x[b] for a, b in guards):
+                return None
+            flat = sum(x[a] * s for a, s in reads)
+            out.append(base[flat:flat + width * step:step] if step else (base[flat],) * width)
+        return out
+
+    def extend(prefix, level, x):
+        fibers = runs(level, x)
+        if fibers is None:
+            return _ZERO
+        values = [_product(cells) for cells in zip(*fibers if prefix is None
+                                                   else (prefix, *fibers))]
+        return _ZERO if all(value.is_zero() for value in values) else values
+
+    def finish(prefix, level, x):
+        fibers = runs(level, x)
+        return _ZERO if fibers is None else _contract(fibers if prefix is None
+                                                      else (prefix, *fibers))
+
+    tails = [math.prod(shape[j + 1:]) for j in range(d)]
+    cells: list[PolyScalar] = []
+    x = [-1] * d  # the index prefix on the current path, -1 before an axis's first
+    prefixes = [None] * (last + 1)  # prefixes[j]: product of the factors read above axis j
+    j = 0
+    while j >= 0:
+        x[j] += 1
+        if x[j] == shape[j]:
+            x[j] = -1
+            j -= 1
+        elif j == last:
+            cells.extend(repeat(finish(prefixes[j], levels[j], x), tails[j]))
+        else:
+            value = extend(prefixes[j], levels[j], x) if levels[j] else prefixes[j]
+            if value is _ZERO:
+                cells.extend(repeat(_ZERO, tails[j]))
+            else:
+                prefixes[j + 1] = value
+                j += 1
+    return cells
 
 
 def summand_ordered_bmp(factors: Sequence[Tensor]) -> Tensor:
@@ -368,10 +450,7 @@ def identitary(order: int, dim: int, j: int, k: int) -> Tensor:
     """
     if not (0 <= j < k < order):
         raise SlotOutOfRange(f"need 0 <= j < k < order, got j={j}, k={k}, order={order}")
-    strides = [0] * order
-    strides[j], strides[k] = 1, -1  # offset 0 exactly where idx[j] == idx[k]
-    shape = (dim,) * order
-    return Tensor(shape, [_ONE if tie == 0 else _ZERO for tie in _offsets(shape, strides)])
+    return Tensor._view((dim,) * order, (_ONE,), (0,) * order, [(j, k)])
 
 
 def sigma_transpose(t: Tensor, sigma: Permutation) -> Tensor:
@@ -387,7 +466,7 @@ def sigma_transpose(t: Tensor, sigma: Permutation) -> Tensor:
     inverse = sigma.inverse()
     shape = tuple(t.shape[inverse(k)] for k in range(t.order))
     strides = [t._strides[inverse(k)] for k in range(t.order)]
-    return Tensor(shape, map(t.cells.__getitem__, _offsets(shape, strides)))
+    return Tensor._view(shape, t._base, strides, [(sigma(j), sigma(k)) for j, k in t._ties])
 
 
 def blow(t: Tensor) -> Tensor:
@@ -395,12 +474,11 @@ def blow(t: Tensor) -> Tensor:
 
     The result has order d+1 with the new axis of dimension ``t.shape[0]``;
     cells with unequal first and last coordinates are zero, the rest copy the
-    input.  The blow of a vector is the diagonal matrix carrying it.
+    input.  The blow of a vector is the diagonal matrix carrying it.  The
+    result is a view over the input's base cells with one more tie.
     """
-    shape = t.shape + (t.shape[0],)
-    flats = _offsets(shape, t._strides + (0,))
-    gaps = _offsets(shape, (1,) + (0,) * (t.order - 1) + (-1,))  # 0 where idx[0] == idx[-1]
-    return Tensor(shape, [t.cells[flat] if gap == 0 else _ZERO for flat, gap in zip(flats, gaps)])
+    return Tensor._view(t.shape + (t.shape[0],), t._base, t._strides + (0,),
+                        t._ties + ((0, t.order),))
 
 
 def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -> Tensor:
@@ -410,7 +488,8 @@ def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -
     result index is the input cell at the index with those positions erased.
     ``new_dims`` gives the dimensions of the inserted axes, either one int
     for all of them or a sequence aligned with the sorted positions.
-    With no positions the input is returned unchanged.
+    With no positions the input is returned unchanged.  The result is a view
+    over the input's base cells with stride 0 on the inserted axes.
 
     Raises:
         PositionOutOfRange: a position is negative, repeated, or >= the
@@ -441,7 +520,8 @@ def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -
     source = iter(zip(t.shape, t._strides))
     shape, strides = zip(*((inserted[axis], 0) if axis in inserted else next(source)
                            for axis in range(result_order)))
-    return Tensor(shape, map(t.cells.__getitem__, _offsets(shape, strides)))
+    kept = [axis for axis in range(result_order) if axis not in inserted]
+    return Tensor._view(shape, t._base, strides, [(kept[j], kept[k]) for j, k in t._ties])
 
 
 def outer_product(vectors: Sequence[Tensor]) -> Tensor:
@@ -457,4 +537,4 @@ def outer_product(vectors: Sequence[Tensor]) -> Tensor:
         if v.order != 1:
             raise OrderMismatch(f"argument {k} has order {v.order}, expected 1")
     shape = tuple(v.shape[0] for v in vectors)
-    return Tensor(shape, map(_product, product(*(v.cells for v in vectors))))
+    return Tensor._view(shape, map(_product, product(*(v.cells for v in vectors))))

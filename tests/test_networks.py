@@ -484,6 +484,60 @@ class TestOneContractionKernel:
         assert_matches_table(total_direct(build()), table)
 
 
+@st.composite
+def wide_networks(draw):
+    """Random DAGs of 1-4 nodes over 4-5 states: Jukes-Cantor and explicit families."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(4, 5))
+    entry = st.sampled_from(ENTRY_TEXTS).map(parse_expr)
+    nodes = []
+    for i in range(d):
+        parents = sorted(draw(st.sets(st.integers(0, i - 1), max_size=min(i, 2)))) if i else []
+        p = len(parents)
+        if p == 0:
+            activation = SourceVector(tuple(draw(entry) for _ in range(n)))
+        elif p == 1 and draw(st.booleans()):
+            activation = JukesCantor(draw(entry), draw(entry))
+        else:
+            activation = ExplicitActivation(tuple(draw(entry) for _ in range(n ** (p + 1))))
+        nodes.append(NodeSpec(f"v{i}", tuple(f"v{j}" for j in parents), activation))
+    return NetworkSpec(n, tuple(nodes))
+
+
+def jukes_cantor_chain(n):
+    """Three nodes in a chain over n states, each child a Jukes-Cantor matrix."""
+    source = SourceVector(tuple(ALPHA if s % 2 else BETA for s in range(n)))
+    return NetworkSpec(n, (NodeSpec("b", (), source),
+                           NodeSpec("c", ("b",), JukesCantor(ALPHA, BETA)),
+                           NodeSpec("a", ("c",), JukesCantor(ALPHA, BETA))))
+
+
+class TestDepthFirstProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(wide_networks())
+    def test_product_route_matches_the_direct_route_at_four_and_five_states(self, spec):
+        assert total_bmp(spec) == total_direct(spec)
+
+    def test_tied_terms_are_never_visited(self, monkeypatch):
+        # The blown ties fix the contracted index, so each of the n**d cells reads
+        # one term: a few zero tests per cell, not one per each of its n terms.
+        n, d = 40, 3
+        spec = jukes_cantor_chain(n)
+        calls = 0
+        is_zero = PolyScalar.is_zero
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return is_zero(self)
+
+        monkeypatch.setattr(PolyScalar, "is_zero", counting)
+        total, multiplies = _count_multiplies(total_bmp, spec, monkeypatch)
+        assert calls <= 4 * n ** d
+        assert multiplies == n ** 2 + n ** 3
+        monkeypatch.undo()
+        assert total == total_direct(spec)
+
+
 def _keeps_parents_first(spec, placement):
     position = {j: k for k, j in enumerate(placement)}
     ids = {node.id: i for i, node in enumerate(spec.nodes)}

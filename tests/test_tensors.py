@@ -560,20 +560,6 @@ class TestProductMemo:
         assert bmp(factors) == Tensor.from_function(
             shape, lambda i: plain_bmp_cell(factors, i, l))
 
-    def test_a_full_memo_is_read_but_not_grown(self):
-        _, _, a, m, p, q = SHARED_CELLS
-        fibers = [[a, a, m, a], [m, m, a, p], [p, q, m, m]]  # terms 0 and 1 share a * m
-        expected = sum((f0 * f1 * f2 for f0, f1, f2 in zip(*fibers)), PolyScalar.zero())
-        full = {(-1, -k): _ZERO for k in range(3)}  # no id is negative
-        assert _contract(fibers, full, 3) == expected
-        assert full == {(-1, -k): _ZERO for k in range(3)}
-        grown: dict = {}
-        assert _contract(fibers, grown, 100) == expected
-        assert len(grown) == 3  # a*m, m*a, a*p; no term's last multiply
-        bounded: dict = {}
-        assert _contract(fibers, bounded, 2) == expected
-        assert len(bounded) == 2
-
     def test_a_term_with_a_zero_last_cell_makes_no_multiply(self, monkeypatch):
         _, _, a, m, p, _ = SHARED_CELLS
         expected = m * a * p
@@ -581,5 +567,102 @@ class TestProductMemo:
         multiply = PolyScalar.__mul__
         monkeypatch.setattr(PolyScalar, "__mul__",
                             lambda self, other: calls.append(1) or multiply(self, other))
-        assert _contract([[a, m], [m, a], [_ZERO, p]], {}, 2) == expected
+        assert _contract([[a, m], [m, a], [_ZERO, p]]) == expected
         assert len(calls) == 2  # both in term 1; term 0 ends in a zero
+
+
+@st.composite
+def plain_tensors(draw, shape):
+    """A dense tensor of ``shape`` over SHARED_CELLS, or a forget view of one."""
+    cell = st.sampled_from(SHARED_CELLS)
+    positions = []
+    if len(shape) > 1:
+        positions = draw(st.lists(st.integers(0, len(shape) - 1), max_size=len(shape) - 1,
+                                  unique=True))
+    kept = [dim for a, dim in enumerate(shape) if a not in positions]
+    n = math.prod(kept)
+    dense = Tensor(kept, draw(st.lists(cell, min_size=n, max_size=n)))
+    return forget(dense, positions, [shape[a] for a in sorted(positions)])
+
+
+def tied_view(inner, a, b):
+    """The blow of ``inner`` transposed so that the blown tie joins axes a and b."""
+    d = inner.order + 1
+    images = (a, *(axis for axis in range(d) if axis not in (a, b)), b)
+    return sigma_transpose(blow(inner), Permutation(images))
+
+
+@st.composite
+def view_tensors(draw, shape):
+    """A tensor of ``shape``: dense, forgotten, transposed, tied or identitary."""
+    d = len(shape)
+    pairs = [(a, b) for a, b in permutations(range(d), 2) if shape[a] == shape[b]]
+    kinds = ["plain", "transposed"] + ["tied"] * bool(pairs)
+    if len(set(shape)) == 1 and d > 1:
+        kinds.append("identitary")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "plain":
+        return draw(plain_tensors(shape))
+    if kind == "transposed":
+        sigma = Permutation(tuple(draw(st.permutations(range(d)))))
+        return sigma_transpose(draw(plain_tensors([shape[sigma(k)] for k in range(d)])), sigma)
+    if kind == "identitary":
+        j, k = sorted(draw(st.sampled_from(pairs)))
+        return identitary(d, shape[0], j, k)
+    a, b = draw(st.sampled_from(pairs))
+    inner = [shape[a]] + [shape[axis] for axis in range(d) if axis not in (a, b)]
+    return tied_view(draw(plain_tensors(inner)), a, b)
+
+
+class TestProductOfViews:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bmp_of_views_matches_the_plain_cells(self, data):
+        d = data.draw(st.integers(2, 4))
+        if data.draw(st.booleans()):
+            shape = [data.draw(dims)] * d
+            l = shape[0]
+        else:
+            shape = data.draw(st.lists(dims, min_size=d, max_size=d))
+            l = data.draw(dims)
+        factors = [data.draw(view_tensors([l if axis == (k + 1) % d else dim
+                                           for axis, dim in enumerate(shape)]))
+                   for k in range(d)]
+        assert bmp(factors) == Tensor.from_function(
+            shape, lambda i: plain_bmp_cell(factors, i, l))
+
+    @staticmethod
+    def _tensor(rng, shape):
+        return random_int_tensor(rng, tuple(shape), -2, 2)
+
+    # In a product of three factors, factor k is contracted in axis (k+1) % 3.
+    CASES = {
+        # no tie on a contracted axis: every h is summed
+        "free h": lambda t: [forget(t((3, 3)), [0], 3), t((3, 3, 3)),
+                             sigma_transpose(t((3, 3, 3)), Permutation((2, 0, 1)))],
+        # factor 0 ties its contracted axis 1 to axis 0, so h = x[0]
+        "h fixed by a tie": lambda t: [tied_view(t((3, 3)), 1, 0), t((3, 3, 3)), t((3, 3, 3))],
+        # factor 0 ties axes 0 and 2 and factor 2 axes 1 and 2, none of them contracted:
+        # zero guards on a free h
+        "tie between two other axes": lambda t: [tied_view(t((3, 3)), 0, 2), t((3, 3, 3)),
+                                                 identitary(3, 3, 1, 2)],
+        # factor 0 fixes h to axis 0 and factor 1 to axis 1
+        "two ties fix h to different axes": lambda t: [tied_view(t((3, 3)), 1, 0),
+                                                       tied_view(t((3, 3)), 2, 1), t((3, 3, 3))],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_kind_of_tie(self, case):
+        rng = random.Random(case)
+        for _ in range(5):
+            factors = self.CASES[case](lambda shape: self._tensor(rng, shape))
+            assert bmp(factors) == Tensor.from_function(
+                (3, 3, 3), lambda i: plain_bmp_cell(factors, i, 3))
+
+    def test_a_view_copies_no_cell(self):
+        t = Tensor((2, 3), range(6))
+        for view in (forget(t, [0, 2], 4), blow(t), sigma_transpose(t, Permutation((1, 0))),
+                     tied_view(t, 2, 0)):
+            assert view._base is t._base
+            assert view._cells is None
+        assert blow(t).ncells == 12 and blow(t)._cells is None
