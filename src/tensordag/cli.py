@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure (the two total-tensor routes
 disagree), 2 input error (any ``TensordagInputError``: malformed, invalid or
-oversized input; or a file that cannot be read or decoded).  Reports go to
-standard output, diagnostics to standard error, and identical invocations
-produce byte-identical output.
+oversized input; a file that cannot be read or decoded; or running out of
+memory).  Reports go to standard output, diagnostics to standard error, and
+identical invocations produce byte-identical output.
 
 Commands::
 
@@ -90,11 +90,11 @@ def cmd_node_tensors(args: argparse.Namespace) -> int:
 def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
     # Every cell is evaluated and formatted before printing, so an error prints nothing.
     lines = ["shape: " + " x ".join(str(dim) for dim in tensor.shape)]
-    for idx, cell in zip(tensor.indices(), tensor.cells):
+    for key, cell in zip(netio.cell_keys(tensor.shape), tensor.cells):
         value = cell.evaluate(bindings)
         if value != 0:
             text = repr(value) if isinstance(value, float) else exact_text(value)
-            lines.append(f"{netio.cell_key(idx)} = {text}")
+            lines.append(f"{key} = {text}")
     print("\n".join(lines))
 
 
@@ -193,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (TensordagInputError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -40,7 +40,8 @@ import json
 import math
 from dataclasses import fields
 from fractions import Fraction
-from typing import Container, Sequence, Union
+from itertools import product
+from typing import Container, Iterator, Sequence, Union
 
 from .networks import (DEFAULT_CELL_CAP, FAMILIES, ActivationSpec, NetworkSpec, NodeSpec,
                        entry_count)
@@ -244,12 +245,18 @@ def cell_key(idx: Sequence[int]) -> str:
     return ",".join(str(i + 1) for i in idx)
 
 
+def cell_keys(shape: Sequence[int]) -> Iterator[str]:
+    """Lazily yield :func:`cell_key` of every index of ``shape``, row-major, joined
+    from per-axis digit strings: ``(2, 2)`` -> ``1,1``, ``1,2``, ``2,1``, ``2,2``."""
+    return map(",".join, product(*([str(i) for i in range(1, dim + 1)] for dim in shape)))
+
+
 def serialize_tensor(t: Tensor) -> str:
     """Text block for a tensor: shape header plus nonzero cells, 1-based."""
     lines = ["shape: " + " x ".join(str(dim) for dim in t.shape)]
-    for idx, cell in zip(t.indices(), t.cells):
+    for key, cell in zip(cell_keys(t.shape), t.cells):
         if not cell.is_zero():
-            lines.append(f"{cell_key(idx)} = {cell}")
+            lines.append(f"{key} = {cell}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,22 +7,33 @@ tolerance anywhere in the library.
 
 Representation
 --------------
-A polynomial is stored as nonzero integer numerators keyed by monomial,
-over one positive denominator:
+A polynomial is stored as the sorted tuple of its own parameter names and
+nonzero integer numerators keyed by packed monomial, over one positive
+denominator:
 
-    alpha^2*beta + 5/2   ->   {(("alpha", 2), ("beta", 1)): 2, (): 5} over 2
+    alpha^2*beta + 5/2   ->   ("alpha", "beta"), {3<<128 | 2<<64 | 1: 2, 0: 5} over 2
 
-A monomial is a tuple of ``(name, power)`` pairs, sorted by name, with every
-power >= 1 (absent name = power 0).  The denominator has no factor common to
-all the numerators (zero is the empty dict over 1), so two PolyScalars are
-equal iff their denominators and term dicts are equal.  Ring operations use
-integer arithmetic only; :meth:`PolyScalar.terms` gives each coefficient in
-lowest terms, an ``int`` when it is whole.
+A packed key puts the monomial's total degree above one 64-bit field per
+name, the first name in the most significant field (after Monagan & Pearce,
+"Sparse polynomial multiplication and division in Maple 14", 2010).  A
+constant's key is 0 under any names.  Every power is at most 2^63 - 1, so the
+sum of two powers never carries into the next field: multiplying two
+monomials over the same names is adding their keys, and a product or power
+that would pass the limit is refused.  Two operands over different names are
+first re-keyed to the union of their names.
 
-For serialization and evaluation, terms are ordered graded-lexicographically
-(higher total degree first, ties broken by the exponent vector over the
-lexicographically sorted parameter names), so text output and floating-point
-evaluation are deterministic.
+The names are exactly those with a nonzero power in some term (constants and
+zero have none), and the denominator has no factor common to all the
+numerators (zero is the empty dict over 1), so two PolyScalars are equal iff
+their names, denominators and term dicts are equal.  Ring operations use
+integer arithmetic only; :meth:`PolyScalar.terms` gives each monomial as
+``(name, power)`` pairs and each coefficient in lowest terms, an ``int`` when
+it is whole.
+
+Integer order of the keys is graded-lexicographic order (higher total degree
+first, ties broken by the exponent vector over the sorted names), so text
+output and floating-point evaluation take the terms in descending key order
+and are deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Mapping, Union
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence, Union
 
 #: Exact rational number used for coefficients and evaluation points.
 Rational = Fraction
@@ -53,6 +65,19 @@ _MAX_POWER_BITS = 1 << 20
 #: A power of a polynomial that could have more terms than this is refused
 #: before it is computed: ``(a+b+c)^100`` could have 5151.
 _MAX_POWER_TERMS = 1 << 10
+
+#: Bits of one exponent field in a packed monomial key.
+_FIELD_BITS = 64
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+#: Largest power of one parameter: the sum of two such powers still fits
+#: its field, so adding two keys never carries into the next field.
+_MAX_EXPONENT = (1 << _FIELD_BITS - 1) - 1
+
+#: A polynomial whose packed keys would take more 64-bit fields than this
+#: (its terms times one more than its names) is refused: 8 MiB of keys, the
+#: sum of 1023 distinct parameters.
+_MAX_KEY_FIELDS = 1 << 20
 
 #: Deepest nesting of parentheses and unary minus signs that
 #: `parse_expr` accepts.  The parser recurses once per level, so the
@@ -143,32 +168,36 @@ class PolyScalar:
     build values with the class methods, :func:`parse_expr` and the operators.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_names", "_terms", "_den")
 
-    def __init__(self, terms: dict[Monomial, int], den: int = 1):
-        """Divide out the common factor of ``den`` and the numerators."""
+    def __init__(self, names: tuple[str, ...], terms: dict[int, int], den: int = 1):
+        """Divide out the common factor of ``den`` and the numerators.
+
+        ``names`` must be exactly the names some key of ``terms`` uses.
+        """
         if den != 1:
             common = math.gcd(den, *terms.values())
             if common != 1:
-                terms = {mono: coeff // common for mono, coeff in terms.items()}
+                terms = {key: coeff // common for key, coeff in terms.items()}
                 den //= common
+        self._names = names
         self._terms = terms
         self._den = den
 
     @classmethod
     def zero(cls) -> "PolyScalar":
-        return cls({})
+        return cls((), {})
 
     @classmethod
     def constant(cls, value: int | Fraction) -> "PolyScalar":
         if type(value) is int:  # every integer literal the parser reads
-            return cls({(): value} if value else {})
+            return cls((), {0: value} if value else {})
         value = Fraction(value)
-        return cls({(): value.numerator} if value else {}, value.denominator)
+        return cls((), {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def parameter(cls, name: str) -> "PolyScalar":
-        return cls({((name, 1),): 1})
+        return cls((name,), {1 << _FIELD_BITS | 1: 1})
 
     @classmethod
     def monomial(cls, coeff: int | Fraction, powers: Mapping[str, int]) -> "PolyScalar":
@@ -182,30 +211,22 @@ class PolyScalar:
 
     def parameters(self) -> set[str]:
         """Names of all parameters appearing with nonzero power."""
-        return {name for mono in self._terms for name, _ in mono}
+        return set(self._names)
 
     def total_degree(self) -> int:
         """Maximum total degree over all terms; 0 for the zero polynomial."""
         if not self._terms:
             return 0
-        return max(sum(p for _, p in mono) for mono in self._terms)
+        return max(self._terms) >> _FIELD_BITS * len(self._names)
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms in canonical (graded-lex descending) order."""
-        return [(mono, _reduced(numerator, self._den)) for mono, numerator in self._ordered()]
+        return [(_monomial(key, self._names), _reduced(numerator, self._den))
+                for key, numerator in self._ordered()]
 
-    def _ordered(self) -> list[tuple[Monomial, int]]:
-        """``(monomial, numerator)`` pairs in canonical order."""
-        names = sorted({name for mono in self._terms for name, _ in mono})
-        index = {name: i for i, name in enumerate(names)}
-
-        def grade(item: tuple[Monomial, int]) -> tuple[int, tuple[int, ...]]:
-            vector = [0] * len(names)
-            for name, power in item[0]:
-                vector[index[name]] = power
-            return (sum(vector), tuple(vector))
-
-        return sorted(self._terms.items(), key=grade, reverse=True)
+    def _ordered(self) -> list[tuple[int, int]]:
+        """``(key, numerator)`` pairs in canonical order."""
+        return sorted(self._terms.items(), reverse=True)
 
     # -- ring operations -------------------------------------------------
 
@@ -225,21 +246,28 @@ class PolyScalar:
             return rhs
         if not rhs._terms:
             return self
+        names = self._names
+        if names != rhs._names:
+            if names and rhs._names:
+                return _sum((self, rhs))
+            names = names or rhs._names  # a constant's key is 0 under any names
         den = math.lcm(self._den, rhs._den)
         out = _scaled(self._terms, den // self._den)
         scale = den // rhs._den
-        for mono, coeff in rhs._terms.items():
-            total = out.get(mono, 0) + coeff * scale
+        cancelled = False
+        for key, coeff in rhs._terms.items():
+            total = out.get(key, 0) + coeff * scale
             if total:
-                out[mono] = total
+                out[key] = total
             else:
-                del out[mono]
-        return PolyScalar(out, den)
+                del out[key]
+                cancelled = True
+        return _trimmed(names, out, den) if cancelled else PolyScalar(names, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar(_scaled(self._terms, -1), self._den)
+        return PolyScalar(self._names, _scaled(self._terms, -1), self._den)
 
     def __sub__(self, other: object) -> "PolyScalar":
         rhs = self._coerce(other)
@@ -260,23 +288,39 @@ class PolyScalar:
         a, b = self._terms, rhs._terms
         if not a or not b:
             return _ZERO
+        names = self._names
+        if names != rhs._names:
+            if not names:
+                names = rhs._names
+            elif rhs._names:
+                names = _union(names, rhs._names)
+                a, b = _rekeyed(a, self._names, names), _rekeyed(b, rhs._names, names)
         den = self._den * rhs._den
+        top = _FIELD_BITS * len(names)  # the total degree's shift
         if len(a) == 1 and len(b) == 1:
             # Monomial times monomial: the overwhelmingly common case for
             # network totals, worth the dedicated path.
-            (ma, ca), = a.items()
-            (mb, cb), = b.items()
-            return PolyScalar({_merge_monomials(ma, mb): ca * cb}, den)
-        out: dict[Monomial, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = _merge_monomials(ma, mb)
-                total = out.get(mono, 0) + ca * cb
+            (ka, ca), = a.items()
+            (kb, cb), = b.items()
+            key = ka + kb
+            if key >> top > _MAX_EXPONENT:
+                _check_exponents((key,), len(names))
+            return PolyScalar(names, {key: ca * cb}, den)
+        most = _MAX_KEY_FIELDS // (len(names) + 1)
+        out: dict[int, int] = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = ka + kb
+                total = out.get(key, 0) + ca * cb
                 if total:
-                    out[mono] = total
+                    out[key] = total
                 else:
-                    del out[mono]
-        return PolyScalar(out, den)
+                    del out[key]
+            if len(out) > most:
+                raise _too_wide(len(out), len(names))
+        if out and max(out) >> top > _MAX_EXPONENT:
+            _check_exponents(out, len(names))
+        return PolyScalar(names, out, den)
 
     __rmul__ = __mul__
 
@@ -296,15 +340,19 @@ class PolyScalar:
                 raise TensordagInputError(
                     f"a power of a polynomial that could have over {_MAX_POWER_TERMS} terms"
                     f" is too large to compute ({len(self._terms)} terms to the power {exponent})")
-        result = _ONE
+        if not exponent:
+            return _ONE
+        # Square and multiply, low bit first; the base is squared only while
+        # higher bits remain, and the first factor is taken as it is.
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
             base = base * base
-            e >>= 1
-        return result
 
     # -- comparison ------------------------------------------------------
 
@@ -312,12 +360,12 @@ class PolyScalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._den == rhs._den and self._terms == rhs._terms
+        return self._den == rhs._den and self._terms == rhs._terms and self._names == rhs._names
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {()}:  # a constant hashes like the number
-            return hash(_reduced(self._terms.get((), 0), self._den))
-        return hash((self._den, frozenset(self._terms.items())))
+        if not self._names:  # a constant hashes like the number
+            return hash(_reduced(self._terms.get(0, 0), self._den))
+        return hash((self._names, self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -335,8 +383,8 @@ class PolyScalar:
             TensordagInputError: the exact powers in one term would together
                 need over _MAX_POWER_BITS bits, or a float result overflows.
         """
-        if self._terms.keys() <= {()}:  # zero or a constant: the loop's value, without it
-            return _reduced(self._terms.get((), 0), self._den)
+        if not self._names:  # zero or a constant: the loop's value, without it
+            return _reduced(self._terms.get(0, 0), self._den)
         sizes = {name: _size_bits(value) for name, value in assignment.items()}
         total: int | Fraction | float = 0
         try:
@@ -368,25 +416,25 @@ class PolyScalar:
     def _text(self) -> str:
         if not self._terms:
             return "0"
+        names, den = self._names, self._den
         pieces: list[str] = []
-        for i, (mono, numerator) in enumerate(self._ordered()):
-            common = math.gcd(numerator, self._den)
-            negative = numerator < 0
-            magnitude, den = abs(numerator) // common, self._den // common
-            factors = []
-            if den != 1:
-                factors.append(f"{magnitude}/{den}")
-            elif magnitude != 1 or not mono:
-                factors.append(str(magnitude))
-            factors.extend(name if power == 1 else f"{name}^{power}" for name, power in mono)
-            if i == 0 and negative and not factors[0][0].isdigit() and mono[0][1] > 1:
+        for key, numerator in self._ordered():
+            factors = [name if power == 1 else f"{name}^{power}"
+                       for name, power in _monomial(key, names)]
+            common = math.gcd(numerator, den)
+            magnitude, term_den = abs(numerator) // common, den // common
+            if term_den != 1:
+                factors.insert(0, f"{magnitude}/{term_den}")
+            elif magnitude != 1 or not factors:
+                factors.insert(0, str(magnitude))
+            elif numerator < 0 and not pieces and "^" in factors[0]:
                 # A leading "-name^k" would parse as (-name)^k; pin the -1.
                 factors.insert(0, "1")
             body = "*".join(factors)
-            if i == 0:
-                pieces.append(f"-{body}" if negative else body)
+            if not pieces:
+                pieces.append(f"-{body}" if numerator < 0 else body)
             else:
-                pieces.append(f" - {body}" if negative else f" + {body}")
+                pieces.append(f" - {body}" if numerator < 0 else f" + {body}")
         return "".join(pieces)
 
     def __repr__(self) -> str:
@@ -403,37 +451,110 @@ def _reduced(numerator: int, den: int) -> Coefficient:
     return value.numerator if value.denominator == 1 else value
 
 
-def _scaled(terms: dict[Monomial, int], factor: int) -> dict[Monomial, int]:
+def _scaled(terms: dict[int, int], factor: int) -> dict[int, int]:
     """A copy of ``terms`` with every numerator times ``factor``."""
     if factor == 1:
         return dict(terms)
-    return {mono: coeff * factor for mono, coeff in terms.items()}
+    return {key: coeff * factor for key, coeff in terms.items()}
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    """Multiply two monomials by adding powers of matching names."""
-    if not a:
-        return b
-    if not b:
-        return a
-    merged: list[tuple[str, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        na, pa = a[i]
-        nb, pb = b[j]
-        if na == nb:
-            merged.append((na, pa + pb))
-            i += 1
-            j += 1
-        elif na < nb:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged)
+def _monomial(key: int, names: tuple[str, ...]) -> Monomial:
+    """The ``(name, power)`` pairs of a packed key, powers >= 1."""
+    shift = _FIELD_BITS * len(names)
+    pairs = []
+    for name in names:
+        shift -= _FIELD_BITS
+        power = key >> shift & _FIELD_MASK
+        if power:
+            pairs.append((name, power))
+    return tuple(pairs)
+
+
+def _check_exponents(keys: Iterable[int], width: int) -> None:
+    """Refuse keys over ``width`` names that hold a power above ``_MAX_EXPONENT``.
+
+    Each field of a key is the sum of two powers of at most ``_MAX_EXPONENT``,
+    so it passes the limit exactly when its top bit is set.
+    """
+    high = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(width))
+    if any(key & high for key in keys):
+        raise TensordagInputError(
+            f"a power of a parameter above {_MAX_EXPONENT} is too large to compute")
+
+
+def _too_wide(terms: int, width: int) -> TensordagInputError:
+    return TensordagInputError(
+        f"a polynomial of {terms} terms over {width} parameters is too large to hold"
+        f" (the limit is {_MAX_KEY_FIELDS} exponent fields)")
+
+
+@lru_cache(maxsize=256)
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(sorted({*a, *b}))
+
+
+@lru_cache(maxsize=256)
+def _shifts(names: tuple[str, ...]) -> dict[str, int]:
+    """The shift of each name's field in a key over ``names``."""
+    return {name: _FIELD_BITS * i for i, name in enumerate(reversed(names))}
+
+
+@lru_cache(maxsize=256)
+def _plan(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """How to move a key over ``old`` to a key over ``new``: ``(source shift,
+    target shift)`` pairs, the first for the total degree and the leading names
+    the two share, one more for each other name of ``old`` found in ``new``."""
+    lead = 0
+    while lead < min(len(old), len(new)) and old[lead] == new[lead]:
+        lead += 1
+    source, target = _shifts(old), _shifts(new)
+    moves = [(_FIELD_BITS * (len(old) - lead), _FIELD_BITS * (len(new) - lead))]
+    moves.extend((source[name], target[name]) for name in old[lead:] if name in target)
+    return tuple(moves)
+
+
+def _rekeyed(terms: dict[int, int], old: tuple[str, ...], new: tuple[str, ...]) -> dict[int, int]:
+    """``terms`` over ``old`` keyed over ``new``, which holds every name that a key uses."""
+    if old == new or not old:
+        return terms
+    if len(terms) * (len(new) + 1) > _MAX_KEY_FIELDS:
+        raise _too_wide(len(terms), len(new))
+    (top, to_top), *moves = _plan(old, new)
+    out = {}
+    for key, coeff in terms.items():
+        moved = key >> top << to_top
+        for source, target in moves:
+            moved |= (key >> source & _FIELD_MASK) << target
+        out[moved] = coeff
+    return out
+
+
+def _trimmed(names: tuple[str, ...], terms: dict[int, int], den: int) -> PolyScalar:
+    """The polynomial of ``terms`` over ``den``, without the names no key uses."""
+    used = 0
+    for key in terms:
+        used |= key
+    kept = tuple(name for name, _ in _monomial(used, names))
+    return PolyScalar(kept, _rekeyed(terms, names, kept), den)
+
+
+def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
+    """The sum of ``values``, each term re-keyed once to the union of their names."""
+    names = tuple(sorted({name for value in values for name in value._names}))
+    count = sum(len(value._terms) for value in values)
+    if count * (len(names) + 1) > _MAX_KEY_FIELDS:
+        raise _too_wide(count, len(names))
+    den = math.lcm(*(value._den for value in values))
+    out: dict[int, int] = {}
+    for value in values:
+        scale = den // value._den
+        for key, coeff in _rekeyed(value._terms, value._names, names).items():
+            total = out.get(key, 0) + coeff * scale
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return _trimmed(names, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +615,19 @@ class _Parser:
         return self.text[start : self.pos]
 
     def expr(self) -> PolyScalar:
-        value = self.term()
+        # The terms are summed at once, so each is re-keyed to the union of
+        # their names once, not once per '+'.
+        values = [self.term()]
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                value = value + self.term()
+                values.append(self.term())
             elif ch == "-":
                 self.pos += 1
-                value = value - self.term()
+                values.append(-self.term())
             else:
-                return value
+                return values[0] if len(values) == 1 else _sum(values)
 
     def term(self) -> PolyScalar:
         value = self.factor()

@@ -527,6 +527,10 @@ HOSTILE_INPUTS = [
      ["total", "--method", "bmp", "--assign", ",".join(f"a{i}=2" for i in range(8))], False),
     ("assign-unbound-parameter", _source_document("alpha*zeta"),
      ["total", "--method", "direct", "--assign", "alpha=1"], False),
+    ("exponent-above-field-limit", _source_document("alpha^9223372036854775808"),
+     ["validate"], False),
+    ("sum-of-too-many-parameters", _source_document(" + ".join(f"a{i}" for i in range(1100))),
+     ["validate"], False),
 ]
 
 
@@ -559,6 +563,17 @@ def test_hostile_input_prints_nothing_to_stdout(run_cli, tmp_path, content, argv
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     result = run_cli(argv[0], str(path), *argv[1:])
     assert (result.code, result.out) == (2, "")
+
+
+@pytest.mark.parametrize("method", ["direct", "bmp", "verify"])
+def test_out_of_memory_exits_two_with_one_error_line(run_cli, fixtures_dir, monkeypatch, method):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for route in ("total_direct", "total_bmp", "verify_totals"):
+        monkeypatch.setattr(networks, route, exhausted)
+    result = run_cli("total", str(fixtures_dir / "chain.json"), "--method", method)
+    assert (result.code, result.out, result.err) == (2, "", "error: out of memory\n")
 
 
 def test_difference_too_large_to_print_still_exits_one(run_cli, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Document parsing, tensor text blocks, assignments, and round-trips."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from tensordag import (AssignmentSyntaxError, DuplicateNodeId, EntryCountMismatc
                        activation_tensor, parse_network, parse_network_document,
                        parse_tensor, parse_assignment, serialize_network,
                        serialize_tensor, total_direct, validate)
+from tensordag import netio
 from tensordag.networks import FAMILIES
 from golden import (ALPHA, BETA, chain_network, five_node_network, random_dag_network,
                     random_monomial, severed_chain_network, triangle_network)
@@ -217,6 +219,11 @@ class TestNetworkRoundTrip:
 
 
 class TestTensorText:
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 3), (12, 1, 10)])
+    def test_cell_keys_are_the_row_major_cell_key_of_every_index(self, shape):
+        t = Tensor(shape, [0] * math.prod(shape))
+        assert list(netio.cell_keys(shape)) == [netio.cell_key(idx) for idx in t.indices()]
+
     def test_diagonal_matrix_layout(self):
         t = Tensor.from_nested([[ALPHA, 0], [0, BETA]])
         assert serialize_tensor(t) == "shape: 2 x 2\n1,1 = alpha\n2,2 = beta\n"

@@ -469,8 +469,9 @@ class TestOneContractionKernel:
     @pytest.mark.parametrize("workload, multiplies", [("mono-n2-d12", 8_188),
                                                       ("poly-n3-d7", 3_276)])
     def test_product_route_multiply_count_is_pinned(self, monkeypatch, workload, multiplies):
-        # The blown ties leave one h per cell, and the memo multiplies each shared
-        # prefix once: n^2 + ... + n^d, the direct route's count.
+        # The blown ties leave one h per cell, and the walk multiplies each factor in
+        # at the deepest axis it reads, so each shared prefix is multiplied once:
+        # n^2 + ... + n^d, the direct route's count.
         doc = _load("docgen", monkeypatch).generate(workload, 1)[0]
         spec = parse_network(doc.text)
         total, calls = _count_multiplies(total_bmp, spec, monkeypatch)

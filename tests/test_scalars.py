@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from tensordag import (ExprSyntaxError, NegativeExponent, PolyScalar,
                        TensordagInputError, UnboundParameter, parse_expr)
+from tensordag.scalars import _MAX_EXPONENT
 
 ALPHA = PolyScalar.parameter("alpha")
 BETA = PolyScalar.parameter("beta")
@@ -289,3 +290,110 @@ class TestPowerGuards:
             parse_expr("(1/2*alpha)^1048577")
         assert str(info.value) == ("an exact power of at least 1048577 bits is too large"
                                    " to compute (the limit is 1048576)")
+
+
+def _reference(poly: dict) -> list:
+    """A reference polynomial ``{((name, power), ...): Fraction}`` as ``terms()`` lists it:
+    nonzero terms, higher total degree first, then the powers of a, b, c, d."""
+    def grade(mono):
+        powers = dict(mono)
+        return sum(powers.values()), tuple(powers.get(name, 0) for name in "abcd")
+
+    return [(mono, coeff) for mono, coeff in sorted(poly.items(), key=lambda t: grade(t[0]),
+                                                    reverse=True) if coeff]
+
+
+def _reference_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for mono, coeff in q.items():
+        out[mono] = out.get(mono, 0) + sign * coeff
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def _reference_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            powers = dict(ma)
+            for name, power in mb:
+                powers[name] = powers.get(name, 0) + power
+            mono = tuple(sorted(powers.items()))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+reference_polys = st.dictionaries(
+    powers.map(lambda p: tuple(sorted((name, k) for name, k in p.items() if k))),
+    coefficients.filter(bool), max_size=4)
+
+
+def _poly(reference: dict) -> PolyScalar:
+    return sum((PolyScalar.monomial(coeff, dict(mono)) for mono, coeff in reference.items()),
+               PolyScalar.zero())
+
+
+class TestPackedKeys:
+    """Terms of packed-key arithmetic against plain dicts keyed by ``(name, power)`` tuples."""
+
+    @settings(max_examples=200)
+    @given(reference_polys, reference_polys, st.integers(0, 3))
+    def test_terms_match_a_plain_reference(self, p, q, exponent):
+        a, b = _poly(p), _poly(q)
+        power = {(): Fraction(1)}
+        for _ in range(exponent):
+            power = _reference_mul(power, p)
+        cases = [(a, p), (a + b, _reference_add(p, q)), (a - b, _reference_add(p, q, -1)),
+                 (a * b, _reference_mul(p, q)), (a ** exponent, power),
+                 ((a + b) - b, p), (a - a, {}), (b + (a - b), p)]
+        for value, expected in cases:
+            assert value.terms() == _reference(expected)
+            assert value.parameters() == {name for mono in expected for name, _ in mono}
+            assert value == _poly(expected) and hash(value) == hash(_poly(expected))
+
+    def test_cancelling_a_name_drops_it(self):
+        value = parse_expr("alpha*beta + gamma") - parse_expr("alpha*beta")
+        assert value.parameters() == {"gamma"}
+        assert value == parse_expr("gamma") and hash(value) == hash(parse_expr("gamma"))
+        assert str(value) == "gamma"
+
+    def test_the_largest_exponent_parses_prints_and_round_trips(self):
+        text = f"alpha^{_MAX_EXPONENT}"
+        assert _MAX_EXPONENT == 2 ** 63 - 1
+        value = parse_expr(text)
+        assert str(value) == text
+        assert parse_expr(str(value)) == value
+        assert value.terms() == [((("alpha", _MAX_EXPONENT),), 1)]
+
+    def test_a_product_past_the_exponent_limit_is_refused(self):
+        half = ALPHA ** 2 ** 62
+        with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
+            half * half
+        with pytest.raises(TensordagInputError):
+            (half + 1) * (half + BETA)
+        with pytest.raises(TensordagInputError):
+            parse_expr(f"alpha^{_MAX_EXPONENT + 1}")
+
+    def test_a_full_field_leaves_its_neighbours_intact(self):
+        value = ALPHA ** _MAX_EXPONENT * BETA
+        assert value.terms() == [((("alpha", _MAX_EXPONENT), ("beta", 1)), 1)]
+        assert value.total_degree() == 2 ** 63
+        assert str(value * 3) == f"3*alpha^{_MAX_EXPONENT}*beta"
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        calls = []
+        multiply = PolyScalar.__mul__
+        monkeypatch.setattr(PolyScalar, "__mul__",
+                            lambda self, other: calls.append(1) or multiply(self, other))
+        power = X ** 8
+        assert len(calls) == 3  # x^2, x^4, x^8
+        assert power.terms() == [((("x", 8),), 1)]
+
+    def test_a_sum_of_many_names_is_summed_once(self):
+        names = [f"a{i}" for i in range(1000)]
+        value = parse_expr(" + ".join(names) + " - a999")
+        assert value.parameters() == set(names[:-1])
+        assert sorted(str(value).split(" + ")) == sorted(names[:-1])
+
+    def test_too_wide_a_polynomial_is_refused(self):
+        with pytest.raises(TensordagInputError, match="too large to hold"):
+            parse_expr(" + ".join(f"a{i}" for i in range(1024)))

@@ -542,7 +542,7 @@ def plain_bmp_cell(factors, i, l):
     return total
 
 
-class TestProductMemo:
+class TestContractionOfSharedCells:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_bmp_of_shared_cells(self, data):
