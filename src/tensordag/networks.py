@@ -13,10 +13,12 @@ The order-d *total tensor* assembles the joint behaviour: its cell at
 selected by the states of that node's parents and the node's own state.
 The module computes it two independent ways:
 
-* :func:`total_direct` multiplies activation entries, read through the
-  bounds-checked ``Tensor[...]``, in node order - the definition, used as
-  the oracle.  Cells that share the states of nodes 0..j share the product
-  of those nodes' entries, which is computed once.
+* :func:`total_direct` multiplies activation entries in node order - the
+  definition, used as the oracle.  It reads every entry once per call
+  through the bounds-checked ``Tensor[...]`` into one row per node, and its
+  depth-first walk indexes each row by its own Horner code over the
+  parents' states.  Cells that share the states of nodes 0..j share the
+  product of those nodes' entries, which is computed once.
 * :func:`total_bmp` first expands every activation tensor to an order-d node
   tensor (insert missing axes with :func:`~tensordag.tensors.forget`, tie a
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
@@ -506,26 +508,39 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
     activation entry of every node.  This is the oracle the product route is
     verified against.
 
+    Every activation entry is read once per call, through the bounds-checked
+    ``Tensor[...]``, into its node's row-major entry row (:func:`_entry_rows`).
     Cells that agree on the states of nodes 0..j-1 share the product of those
     nodes' entries, so one depth-first walk over the nodes in order computes
     each such prefix once and extends it by node j's entry; the products are
-    those of :meth:`PreparedNetwork.total_direct_cell`, in the same order.  A
-    zero entry makes its whole subtree zero cells without a multiply.  The
-    walk keeps one state and one prefix per node and emits cells row-major.
+    those of :meth:`PreparedNetwork.total_direct_cell`, in the same order.  On
+    node j's first state under a prefix the walk finds the entry row's offset,
+    a Horner code over the parents' states times n, and each state s then
+    reads ``row[offset + s]``.  A zero entry makes its whole subtree zero
+    cells without a multiply.  The walk keeps one state, one offset and one
+    prefix per node and emits cells row-major.
     """
     prepared = PreparedNetwork(spec, max_cells)
     n, d = prepared.arity, prepared.d
+    rows = _entry_rows(prepared)
+    parents = prepared.parent_positions
     cells: list[PolyScalar] = []
     states = [-1] * d          # state of each node on the current path, -1 before its first
+    offsets = [0] * d          # offsets[j]: where node j's entries under the path's parents start
     prefixes = [_ONE] * d      # prefixes[j]: product of the entries of nodes 0..j-1
     j = 0
     while 0 <= j < d:
-        states[j] += 1
-        if states[j] == n:
+        state = states[j] = states[j] + 1
+        if state == n:
             states[j] = -1
             j -= 1
             continue
-        entry = prepared._entry(j, states)
+        if state == 0:
+            code = 0
+            for p in parents[j]:
+                code = code * n + states[p]
+            offsets[j] = code * n
+        entry = rows[j][offsets[j] + state]
         if entry.is_zero():
             cells.extend(repeat(_ZERO, n ** (d - 1 - j)))
             continue
@@ -536,6 +551,12 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
             prefixes[j + 1] = value
             j += 1
     return Tensor._view((n,) * d, cells)
+
+
+def _entry_rows(prepared: PreparedNetwork) -> list[tuple[PolyScalar, ...]]:
+    """Each node's activation entries, read once through ``Tensor[...]``, in
+    row-major order: the parents' states first, the node's own state last."""
+    return [tuple(tensor[idx] for idx in tensor.indices()) for tensor in prepared.activations]
 
 
 def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:

@@ -385,7 +385,7 @@ class PolyScalar:
         """
         if not self._names:  # zero or a constant: the loop's value, without it
             return _reduced(self._terms.get(0, 0), self._den)
-        sizes = {name: _size_bits(value) for name, value in assignment.items()}
+        sizes = {name: _size_bits(assignment[name]) for name in self._names if name in assignment}
         total: int | Fraction | float = 0
         try:
             for mono, coeff in self.terms():
@@ -419,18 +419,21 @@ class PolyScalar:
         names, den = self._names, self._den
         pieces: list[str] = []
         for key, numerator in self._ordered():
-            factors = [name if power == 1 else f"{name}^{power}"
-                       for name, power in _monomial(key, names)]
-            common = math.gcd(numerator, den)
-            magnitude, term_den = abs(numerator) // common, den // common
+            monomial, powered = _monomial_text(key, names)
+            if den == 1:
+                magnitude, term_den = abs(numerator), 1
+            else:
+                common = math.gcd(numerator, den)
+                magnitude, term_den = abs(numerator) // common, den // common
             if term_den != 1:
-                factors.insert(0, f"{magnitude}/{term_den}")
-            elif magnitude != 1 or not factors:
-                factors.insert(0, str(magnitude))
-            elif numerator < 0 and not pieces and "^" in factors[0]:
-                # A leading "-name^k" would parse as (-name)^k; pin the -1.
-                factors.insert(0, "1")
-            body = "*".join(factors)
+                coeff = f"{magnitude}/{term_den}"
+            elif magnitude != 1 or not monomial:
+                coeff = str(magnitude)
+            elif numerator < 0 and not pieces and powered:
+                coeff = "1"  # a leading "-name^k" would parse as (-name)^k; pin the -1
+            else:
+                coeff = ""
+            body = f"{coeff}*{monomial}" if coeff and monomial else coeff or monomial
             if not pieces:
                 pieces.append(f"-{body}" if numerator < 0 else body)
             else:
@@ -486,6 +489,14 @@ def _too_wide(terms: int, width: int) -> TensordagInputError:
     return TensordagInputError(
         f"a polynomial of {terms} terms over {width} parameters is too large to hold"
         f" (the limit is {_MAX_KEY_FIELDS} exponent fields)")
+
+
+@lru_cache(maxsize=1024)
+def _monomial_text(key: int, names: tuple[str, ...]) -> tuple[str, bool]:
+    """The text of a packed key's monomial, ``""`` for a constant, and whether
+    its first factor carries a power."""
+    factors = [name if power == 1 else f"{name}^{power}" for name, power in _monomial(key, names)]
+    return "*".join(factors), bool(factors) and "^" in factors[0]
 
 
 @lru_cache(maxsize=256)

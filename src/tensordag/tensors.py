@@ -31,9 +31,10 @@ result axis the factor reads, so a product that many cells share is made
 once, and a tie on a contracted axis fixes the contracted index, so tied-off
 terms are never visited.  ``_contract`` is the one sum of factor products
 over the contracted index: the walk ends every cell with it, and so does the
-network layer's lazy product cell.  The direct route reads dense tensors
-only through the bounds-checked ``Tensor[...]``, so the two total routes
-share no index arithmetic.
+network layer's lazy product cell.  The direct route reads every
+activation entry once through the bounds-checked ``Tensor[...]`` and then
+indexes its rows by its own Horner code, so the two total routes share no
+index arithmetic.
 """
 
 from __future__ import annotations

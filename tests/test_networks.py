@@ -449,6 +449,24 @@ class TestPrefixSharedDirect:
         assert total.cells[:n ** (d - 1)] == (PolyScalar.zero(),) * n ** (d - 1)
         assert total == total_bmp(zeroed)
 
+    def test_each_activation_entry_is_read_once(self, monkeypatch):
+        # sum of n^(p+1) over the nodes: one Tensor[...] read per activation entry
+        doc = _load("docgen", monkeypatch).generate("mono-n2-d12", 1)[0]
+        spec = parse_network(doc.text)
+        reads = 0
+        getitem = Tensor.__getitem__
+
+        def counting(self, idx):
+            nonlocal reads
+            reads += 1
+            return getitem(self, idx)
+
+        monkeypatch.setattr(Tensor, "__getitem__", counting)
+        total, calls = _count_direct_multiplies(spec, monkeypatch)
+        assert reads == sum(spec.arity ** (len(node.parents) + 1) for node in spec.nodes) == 86
+        assert calls == 8188
+        assert total == total_bmp(spec)
+
     @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
     def test_direct_route_runs_without_the_product_route(self, build, table, monkeypatch):
         spec = build()
@@ -462,6 +480,7 @@ class TestPrefixSharedDirect:
     def test_product_route_runs_without_the_direct_lookup(self, build, table, monkeypatch):
         spec = build()
         monkeypatch.setattr(PreparedNetwork, "_entry", _refuse)
+        monkeypatch.setattr(networks, "_entry_rows", _refuse)
         assert_matches_table(total_bmp(spec), table)
 
 

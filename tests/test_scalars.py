@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tensordag import (ExprSyntaxError, NegativeExponent, PolyScalar,
-                       TensordagInputError, UnboundParameter, parse_expr)
+                       TensordagInputError, UnboundParameter, parse_expr, scalars)
 from tensordag.scalars import _MAX_EXPONENT
 
 ALPHA = PolyScalar.parameter("alpha")
@@ -162,6 +162,23 @@ class TestEvaluation:
             term.evaluate({"alpha": 2, "beta": 2})
         assert term.evaluate({"alpha": 2, "beta": 1}) == 2 ** 600_000
 
+    def test_only_the_polynomials_own_names_are_sized(self, monkeypatch):
+        # bindings of other names cost nothing, and the unbound name reported
+        # is still the first one in canonical term order
+        p = parse_expr("alpha^2*beta + 3*beta*gamma + 1/2")
+        bindings = {f"unused{i}": Fraction(i + 1, 7) for i in range(10_000)}
+        bindings.update(alpha=Fraction(1, 2), beta=3)
+        sizes = []
+        size_bits = scalars._size_bits
+        monkeypatch.setattr(scalars, "_size_bits", lambda value: sizes.append(value) or size_bits(value))
+        with pytest.raises(UnboundParameter) as info:
+            p.evaluate(bindings)
+        assert info.value.name == "gamma" and str(info.value) == str(UnboundParameter("gamma"))
+        assert len(sizes) == 2
+        sizes.clear()
+        assert p.evaluate({**bindings, "gamma": -2}) == Fraction(3, 4) - 18 + Fraction(1, 2)
+        assert len(sizes) == 3
+
     @pytest.mark.parametrize("value, kind", [(0, int), (3, int), (-4, int), (Fraction(6, 3), int),
                                              (Fraction(1, 2), Fraction),
                                              (Fraction(-7, 3), Fraction)])
@@ -243,6 +260,38 @@ class TestSerialization:
 
     def test_zero(self):
         assert str(PolyScalar.zero()) == "0"
+
+    def test_a_leading_negative_power_keeps_its_unit(self):
+        # "-alpha^2" would parse as (-alpha)^2
+        assert str(-ALPHA ** 2) == "-1*alpha^2"
+        assert str(-ALPHA ** 2 * BETA + 1) == "-1*alpha^2*beta + 1"
+        assert str(-ALPHA * BETA ** 2) == "-alpha*beta^2"
+        assert str(1 - ALPHA ** 2) == "-1*alpha^2 + 1"
+        assert str(parse_expr("-1/2*alpha^2")) == "-1/2*alpha^2"
+
+    def test_one_key_over_different_names_prints_each_name(self):
+        # the monomial texts are cached per key and names
+        assert [str(PolyScalar.parameter(name) ** 3) for name in "ab"] == ["a^3", "b^3"]
+
+    @settings(max_examples=200)
+    @given(poly_scalars())
+    def test_text_matches_a_reference_built_from_terms(self, p):
+        assert str(p) == _reference_text(p)
+
+
+def _reference_text(p: PolyScalar) -> str:
+    """The canonical text, assembled term by term from ``terms()``."""
+    pieces = []
+    for mono, coeff in p.terms():
+        factors = [name if power == 1 else f"{name}^{power}" for name, power in mono]
+        magnitude = abs(Fraction(coeff))
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        elif coeff < 0 and not pieces and "^" in factors[0]:
+            factors.insert(0, "1")
+        sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
+        pieces.append(sign + "*".join(factors))
+    return "".join(pieces) or "0"
 
 
 class TestCanonicalForm:
