@@ -26,12 +26,13 @@ All operations are pure; tensors are immutable after construction.
 are index maps: they return views over their input's base cells and copy no
 cell, and a view builds its row-major ``cells`` only when first asked.
 :func:`bmp` is one depth-first walk over the result axes that reads only its
-factors' strides and ties.  It multiplies each factor in at the deepest
-result axis the factor reads, so a product that many cells share is made
-once, and a tie on a contracted axis fixes the contracted index, so tied-off
-terms are never visited.  ``_contract`` is the one sum of factor products
-over the contracted index: the walk ends every cell with it, and so does the
-network layer's lazy product cell.  The direct route reads every
+factors' strides and ties.  A tie on a contracted axis fixes the contracted
+index h, so tied-off terms are never visited.  Each index prefix holds one
+product and the fibers along h of the factors that read a free h; every other
+factor is multiplied into the product at the deepest result axis it reads,
+so a product that many cells share is made once.  ``_contract`` is the one
+sum of factor products over h: the walk ends every cell with it, and so does
+the network layer's lazy product cell.  The direct route reads every
 activation entry once through the bounds-checked ``Tensor[...]`` and then
 indexes its rows by its own Horner code, so the two total routes share no
 index arithmetic.
@@ -347,16 +348,17 @@ def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) ->
     A tie between a factor's contracted axis and result axis a zeroes every term
     but h = x[a].  If any factor has such a tie, h is fixed to the smallest such a:
     every factor's stride in its contracted axis moves to axis a, and a cell sums
-    one term.  Otherwise h is free and a cell sums l terms.  A prefix holds one
-    product per term, and each cell ends with :func:`_contract` over the terms.
-    Every other tie is a guard, which zeroes the factor's cell unless its two
-    result coordinates agree.
+    one term.  Otherwise h is free and a cell sums l terms.  Every other tie is a
+    guard, which zeroes the factor's cell unless its two result coordinates agree.
 
-    Each factor is multiplied in at the deepest result axis it reads, by a stride
-    or a guard, so the product of the factors read down to axis j is made once per
-    index prefix ``x[:j+1]`` and shared by every cell under it.  A zero prefix
-    emits its subtree as zero cells, and the axes below the deepest one read
-    repeat their cell.
+    Each factor is taken in at the deepest result axis it reads, by a stride or
+    a guard.  A prefix is one product and a tuple of fibers: a factor that does not
+    read h is multiplied into the product there, so the product of those read down
+    to axis j is made once per index prefix ``x[:j+1]`` and shared by every cell
+    under it, and a factor that reads a free h adds its l-cell fiber.  Each cell
+    ends with :func:`_contract` over the product, once per term, and the fibers.
+    A zero prefix emits its subtree as zero cells, and the axes below the deepest
+    one read repeat their cell.
     """
     d = len(shape)
     fixed = min((b if a == c else a for t, c in zip(factors, contracted)
@@ -376,50 +378,38 @@ def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) ->
     last = max(j for j, level in enumerate(levels) if level)
 
     width = l if fixed is None else 1  # the terms a cell sums
-
-    def runs(level, x):
-        """Each factor's cells over the terms at the index prefix x, or None where a
-        guard fails."""
-        out = []
-        for base, reads, step, guards in level:
-            if guards and any(x[a] != x[b] for a, b in guards):
-                return None
-            flat = sum(x[a] * s for a, s in reads)
-            out.append(base[flat:flat + width * step:step] if step else (base[flat],) * width)
-        return out
-
-    def extend(prefix, level, x):
-        fibers = runs(level, x)
-        if fibers is None:
-            return _ZERO
-        values = [_product(cells) for cells in zip(*fibers if prefix is None
-                                                   else (prefix, *fibers))]
-        return _ZERO if all(value.is_zero() for value in values) else values
-
-    def finish(prefix, level, x):
-        fibers = runs(level, x)
-        return _ZERO if fibers is None else _contract(fibers if prefix is None
-                                                      else (prefix, *fibers))
-
     tails = [math.prod(shape[j + 1:]) for j in range(d)]
     cells: list[PolyScalar] = []
     x = [-1] * d  # the index prefix on the current path, -1 before an axis's first
-    prefixes = [None] * (last + 1)  # prefixes[j]: product of the factors read above axis j
+    prefixes = [(_ONE, ())] * (last + 1)  # prefixes[j]: the factors read above axis j
     j = 0
     while j >= 0:
         x[j] += 1
         if x[j] == shape[j]:
             x[j] = -1
             j -= 1
-        elif j == last:
-            cells.extend(repeat(finish(prefixes[j], levels[j], x), tails[j]))
-        else:
-            value = extend(prefixes[j], levels[j], x) if levels[j] else prefixes[j]
-            if value is _ZERO:
-                cells.extend(repeat(_ZERO, tails[j]))
+            continue
+        value, fibers = prefixes[j]
+        for base, reads, step, guards in levels[j]:
+            flat = sum(x[a] * s for a, s in reads)
+            cell = base[flat]
+            if guards and any(x[a] != x[b] for a, b in guards) or not step and cell.is_zero():
+                value = _ZERO
+                break
+            if step:
+                fibers += (base[flat:flat + l * step:step],)
             else:
-                prefixes[j + 1] = value
-                j += 1
+                value = cell if value is _ONE else value * cell
+        if value is _ZERO:
+            cells.extend(repeat(_ZERO, tails[j]))
+        elif j == last:
+            # A product still one would only lengthen every term: the fibers alone
+            # make the same multiplies.
+            terms = fibers if value is _ONE and fibers else ((value,) * width, *fibers)
+            cells.extend(repeat(_contract(terms), tails[j]))
+        else:
+            prefixes[j + 1] = (value, fibers)
+            j += 1
     return cells
 
 

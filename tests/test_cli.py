@@ -531,6 +531,23 @@ HOSTILE_INPUTS = [
      ["validate"], False),
     ("sum-of-too-many-parameters", _source_document(" + ".join(f"a{i}" for i in range(1100))),
      ["validate"], False),
+    ("product-of-too-many-parameters", _source_document(
+        "(" + " + ".join(f"a{i}" for i in range(81)) + ") * ("
+        + " + ".join(f"b{i}" for i in range(81)) + ")"), ["validate"], False),
+    ("non-string-entry", json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "activation": {"type": "vector", "entries": [1, "1"]}}]}), ["validate"], False),
+    ("non-object-activation", json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "activation": "vector"}]}), ["validate"], False),
+    ("non-list-entries", json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "activation": {"type": "vector", "entries": "1, 1"}}]}), ["validate"], False),
+    ("non-list-parents", json.dumps({"arity": 2, "nodes": [
+        {"id": "b", "parents": "a", "activation": {"type": "vector", "entries": ["1", "1"]}}]}),
+     ["validate"], False),
+    ("non-list-order", json.dumps({"arity": 2, "order": "b", "nodes": [
+        {"id": "b", "activation": {"type": "vector", "entries": ["1", "1"]}}]}),
+     ["validate"], False),
+    ("empty-tensor-file", "", ["bmp"], False),
+    ("non-integer-cell-index", "shape: 2 x 2\n1,x = 3\n", ["bmp"], False),
 ]
 
 

@@ -405,6 +405,15 @@ class TestPackedKeys:
         assert value == parse_expr("gamma") and hash(value) == hash(parse_expr("gamma"))
         assert str(value) == "gamma"
 
+    @pytest.mark.parametrize("left, right, expected, names", [
+        ("alpha + beta", "alpha - beta", "alpha^2 - beta^2", {"alpha", "beta"}),
+        ("alpha + 1", "alpha - 1", "alpha^2 - 1", {"alpha"})])
+    def test_a_product_whose_cross_terms_cancel(self, left, right, expected, names):
+        value = parse_expr(left) * parse_expr(right)
+        assert value == parse_expr(expected) and hash(value) == hash(parse_expr(expected))
+        assert value.parameters() == names
+        assert str(value) == expected
+
     def test_the_largest_exponent_parses_prints_and_round_trips(self):
         text = f"alpha^{_MAX_EXPONENT}"
         assert _MAX_EXPONENT == 2 ** 63 - 1
@@ -446,3 +455,16 @@ class TestPackedKeys:
     def test_too_wide_a_polynomial_is_refused(self):
         with pytest.raises(TensordagInputError, match="too large to hold"):
             parse_expr(" + ".join(f"a{i}" for i in range(1024)))
+
+    def test_a_factor_too_wide_to_rekey_is_refused(self):
+        # 1023 terms moved onto the 1025 names of the product need over 2^20 fields.
+        text = "(" + " + ".join(f"a{i}" for i in range(1023)) + ") * (b0 + b1)"
+        with pytest.raises(TensordagInputError, match="1023 terms over 1025 parameters"):
+            parse_expr(text)
+
+    def test_a_product_too_wide_to_hold_is_refused_as_it_grows(self):
+        # 81 x 81 terms over 162 names would need 6561 * 163 fields; the refusal comes
+        # after 80 of the 81 rows, once the terms pass 2^20 // 163.
+        a, b = (" + ".join(f"{name}{i}" for i in range(81)) for name in "ab")
+        with pytest.raises(TensordagInputError, match="6480 terms over 162 parameters"):
+            parse_expr(f"({a}) * ({b})")

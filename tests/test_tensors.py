@@ -190,6 +190,16 @@ class TestProduct:
         with pytest.raises(ShapeMismatch):
             bmp([a, c, b])
 
+    def test_shared_dimension_mismatch_names_the_factor_and_axis(self):
+        # Every contracted axis has dimension 2, but factors 0 and 1 disagree on axis 0,
+        # which neither of them contracts.
+        rng = random.Random(3)
+        a, b, c = (random_int_tensor(rng, shape) for shape in ((2, 2, 2), (3, 2, 2), (2, 2, 2)))
+        with pytest.raises(ShapeMismatch) as info:
+            bmp([a, b, c])
+        error = info.value
+        assert (error.arg, error.slot, error.expected, error.got) == (1, 0, 2, 3)
+
     def test_multilinearity_in_each_slot(self):
         rng = random.Random(17)
         for d in (2, 3):
@@ -569,6 +579,20 @@ class TestContractionOfSharedCells:
                             lambda self, other: calls.append(1) or multiply(self, other))
         assert _contract([[a, m], [m, a], [_ZERO, p]]) == expected
         assert len(calls) == 2  # both in term 1; term 0 ends in a zero
+
+    @pytest.mark.parametrize("d, multiplies", [(2, 27), (3, 162), (4, 729)])
+    def test_dense_factors_multiply_each_term_once(self, monkeypatch, d, multiplies):
+        # No tie fixes h, so each of the 3^d cells sums 3 terms of d cells, with no
+        # zero cell to stop a term early: (d - 1) * 3 multiplies per cell.
+        rng = random.Random(d)
+        factors = [Tensor((3,) * d, [rng.choice([-3, -2, -1, 2, 3]) for _ in range(3 ** d)])
+                   for _ in range(d)]
+        calls = []
+        multiply = PolyScalar.__mul__
+        monkeypatch.setattr(PolyScalar, "__mul__",
+                            lambda self, other: calls.append(1) or multiply(self, other))
+        bmp(factors)
+        assert len(calls) == multiplies == (d - 1) * 3 * 3 ** d
 
 
 @st.composite
