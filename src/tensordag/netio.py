@@ -104,16 +104,26 @@ def _expect_keys(obj: dict, allowed: Container[str], required: Sequence[str], pa
             raise SchemaError(path, f"missing required key '{key}'")
 
 
-def _parse_entry(text: object, path: str) -> PolyScalar:
+class _Parsed(dict):
+    """Expression text -> PolyScalar for one document read: a text is parsed on
+    its first lookup, and its repeats share the one immutable value."""
+
+    def __missing__(self, text: str) -> PolyScalar:
+        value = self[text] = parse_expr(text)
+        return value
+
+
+def _parse_entry(text: object, path: str, parsed: _Parsed) -> PolyScalar:
     if not isinstance(text, str):
         raise SchemaError(path, f"expected an expression string, got {type(text).__name__}")
     try:
-        return parse_expr(text)
+        return parsed[text]
     except TensordagInputError as err:
         raise SchemaError(path, f"bad expression {text!r}: {err}") from err
 
 
-def _parse_activation(obj: object, p: int, arity: int, path: str) -> ActivationSpec:
+def _parse_activation(obj: object, p: int, arity: int, path: str,
+                      parsed: _Parsed) -> ActivationSpec:
     if not isinstance(obj, dict):
         raise SchemaError(path, "activation must be an object")
     kind = obj.get("type")
@@ -126,7 +136,7 @@ def _parse_activation(obj: object, p: int, arity: int, path: str) -> ActivationS
     values = {}
     for name in names[1:]:
         if name != "entries":
-            values[name] = _parse_entry(obj[name], f"{path}.{name}")
+            values[name] = _parse_entry(obj[name], f"{path}.{name}", parsed)
             continue
         entries = obj["entries"]
         if not isinstance(entries, list):
@@ -134,12 +144,14 @@ def _parse_activation(obj: object, p: int, arity: int, path: str) -> ActivationS
         expected = entry_count(family, p, arity)
         if len(entries) != expected:
             raise EntryCountMismatch(f"{path}.entries", expected, len(entries))
-        values[name] = tuple(_parse_entry(e, f"{path}.entries[{i}]") for i, e in enumerate(entries))
+        values[name] = tuple(_parse_entry(e, f"{path}.entries[{i}]", parsed)
+                             for i, e in enumerate(entries))
     return family(**values)
 
 
 def parse_network_document(doc: object) -> NetworkSpec:
-    """Build a NetworkSpec from a parsed JSON document (a dict)."""
+    """Build a NetworkSpec from a parsed JSON document (a dict), parsing each
+    distinct expression text once."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "document root must be an object")
     _expect_keys(doc, {"arity", "nodes", "order"}, ("arity", "nodes"), "$")
@@ -150,6 +162,7 @@ def parse_network_document(doc: object) -> NetworkSpec:
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise SchemaError("$.nodes", "expected a non-empty list of node objects")
 
+    parsed = _Parsed()
     ids: list[str] = []
     by_id: dict[str, tuple[list[str], ActivationSpec]] = {}
     for i, raw in enumerate(raw_nodes):
@@ -168,7 +181,7 @@ def parse_network_document(doc: object) -> NetworkSpec:
         if len(set(parents)) != len(parents):
             raise SchemaError(f"{path}.parents", "duplicate parent")
         activation = _parse_activation(raw["activation"], len(parents), arity,
-                                       f"{path}.activation")
+                                       f"{path}.activation", parsed)
         ids.append(node_id)
         by_id[node_id] = (list(parents), activation)
 
@@ -261,7 +274,8 @@ def serialize_tensor(t: Tensor) -> str:
 
 
 def parse_tensor(text: str) -> Tensor:
-    """Parse a tensor text block; absent cells are zero.
+    """Parse a tensor text block, each distinct cell expression once; absent
+    cells are zero.
 
     Raises:
         TensorSyntaxError: malformed header, cell line, or expression, a
@@ -295,6 +309,7 @@ def parse_tensor(text: str) -> Tensor:
             raise TensorSyntaxError(header_no, f"shape has more than {DEFAULT_CELL_CAP} cells")
     cells = [_ZERO] * ncells
     seen: set[int] = set()
+    parsed = _Parsed()
     strides = _strides(shape)
 
     for line_no, line in enumerate(lines[header_no:], start=header_no + 1):
@@ -321,7 +336,7 @@ def parse_tensor(text: str) -> Tensor:
             raise TensorSyntaxError(line_no, f"cell {left.strip()} assigned twice")
         seen.add(flat)
         try:
-            cells[flat] = parse_expr(right.strip())
+            cells[flat] = parsed[right.strip()]
         except TensordagInputError as err:
             raise TensorSyntaxError(line_no, f"bad expression: {err}") from err
     return Tensor(shape, cells)

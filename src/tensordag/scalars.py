@@ -568,6 +568,35 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
     return _trimmed(names, out, den)
 
 
+def _product(values: Sequence[PolyScalar]) -> PolyScalar:
+    """The product of ``values``, refused for the same reasons as multiplying
+    them left to right.  The one-term factors are re-keyed once to the union of
+    their names, their keys added and their coefficients multiplied; each other
+    factor is then multiplied in."""
+    if len(values) == 2:  # left to right re-keys each of two factors once at most
+        return values[0] * values[1]
+    monomials, others = [], []
+    for value in values:
+        if not value._terms:  # left to right, only the factors before a zero can be refused
+            return math.prod(values)
+        (monomials if len(value._terms) == 1 else others).append(value)
+    names = tuple(sorted({name for value in monomials for name in value._names}))
+    top = _FIELD_BITS * len(names)  # the total degree's shift
+    key, numerator, den = 0, 1, 1
+    for value in monomials:
+        (moved, coeff), = _rekeyed(value._terms, value._names, names).items()
+        key += moved
+        # Every field stays at most _MAX_EXPONENT, so the next sum cannot carry.
+        if key >> top > _MAX_EXPONENT:
+            _check_exponents((key,), len(names))
+        numerator *= coeff
+        den *= value._den
+    result = PolyScalar(names, {key: numerator}, den)
+    for value in others:
+        result = result * value
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Expression parsing
 #
@@ -580,6 +609,8 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
 # Whitespace is insignificant.  Division appears only between integer
 # literals (rational constants); general division and negative exponents are
 # rejected.  Parentheses and unary minus nest at most _MAX_NESTING deep.
+# A term's factors are all read before they are multiplied, so a syntax
+# error in a term is reported before a refusal of its product.
 # ---------------------------------------------------------------------------
 
 
@@ -589,22 +620,22 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Skip whitespace and return the next character, ``""`` at the end."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
 
     def fail(self, expected: str) -> "ExprSyntaxError":
         found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
         return ExprSyntaxError(self.pos, expected, found)
 
     def take_uint(self) -> int:
-        self.skip_ws()
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.fail("an unsigned integer")
@@ -616,9 +647,8 @@ class _Parser:
                 f"{self.pos - start} digits") from None
 
     def take_ident(self) -> str:
-        self.skip_ws()
+        ch = self.peek()
         start = self.pos
-        ch = self.text[self.pos] if self.pos < len(self.text) else ""
         if not (ch.isalpha() or ch == "_"):
             raise self.fail("an identifier")
         while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
@@ -641,11 +671,13 @@ class _Parser:
                 return values[0] if len(values) == 1 else _sum(values)
 
     def term(self) -> PolyScalar:
-        value = self.factor()
+        # The factors are multiplied at once, so each one-term factor is
+        # re-keyed to the union of their names once, not once per '*'.
+        values = [self.factor()]
         while self.peek() == "*":
             self.pos += 1
-            value = value * self.factor()
-        return value
+            values.append(self.factor())
+        return values[0] if len(values) == 1 else _product(values)
 
     def factor(self) -> PolyScalar:
         value = self.atom()
@@ -672,7 +704,7 @@ class _Parser:
                 self.pos += 1
             self.depth -= 1
             return value
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() converts; isdigit() also takes '²'
             numerator = self.take_uint()
             if self.peek() == "/":
                 self.pos += 1
@@ -701,7 +733,7 @@ def parse_expr(text: str) -> PolyScalar:
     """
     parser = _Parser(text)
     value = parser.expr()
-    parser.skip_ws()
+    parser.peek()
     if parser.pos != len(text):
         raise parser.fail("end of input")
     return value

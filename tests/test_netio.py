@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from tensordag import (AssignmentSyntaxError, DuplicateNodeId, EntryCountMismatc
                        QuantumThresholdOne, SchemaError, ShapeMismatch, SourceVector,
                        Tensor, TensorSyntaxError, ThresholdOne, UnknownNodeId,
                        activation_tensor, parse_network, parse_network_document,
-                       parse_tensor, parse_assignment, serialize_network,
+                       parse_expr, parse_tensor, parse_assignment, serialize_network,
                        serialize_tensor, total_direct, validate)
 from tensordag import netio
 from tensordag.networks import FAMILIES
@@ -168,6 +169,61 @@ class TestParseNetwork:
         spec = parse_network_document(doc)
         tensor = activation_tensor(spec.nodes[1].activation, 1, 2)
         assert tensor == activation_tensor(JukesCantor(ALPHA, BETA), 1, 2)
+
+
+def _vector_document(entries: list[str]) -> dict:
+    return {"arity": len(entries), "nodes": [
+        {"id": "x", "activation": {"type": "vector", "entries": entries}}]}
+
+
+class TestParseOncePerRead:
+    """Each distinct expression text is parsed once per document read."""
+
+    TEXTS = ["alpha", "2*alpha*beta", " alpha", "alpha", "1/3", "2*alpha*beta", "1/3", "alpha"]
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        counts = Counter()
+
+        def counting(text):
+            counts[text] += 1
+            return parse_expr(text)
+
+        monkeypatch.setattr(netio, "parse_expr", counting)
+        return counts
+
+    def test_every_repeated_entry_equals_its_own_parse(self):
+        rng = random.Random(16)
+        pool = ["alpha", "-3*alpha^2*beta", "alpha ", "(alpha + 1)^2", "1/2", "0", "beta*alpha"]
+        entries = [rng.choice(pool) for _ in range(27)]
+        spec = parse_network_document({"arity": 3, "nodes": [
+            {"id": "x", "activation": {"type": "vector", "entries": entries[:3]}},
+            {"id": "y", "parents": ["x"],
+             "activation": {"type": "explicit", "entries": entries[3:12]}},
+            {"id": "z", "parents": ["y"],
+             "activation": {"type": "jukes_cantor", "alpha": entries[12], "beta": entries[13]}},
+        ]})
+        read = [*spec.nodes[0].activation.entries, *spec.nodes[1].activation.entries,
+                spec.nodes[2].activation.alpha, spec.nodes[2].activation.beta]
+        assert read == [parse_expr(text) for text in entries[:14]]
+
+    def test_the_first_bad_occurrence_is_reported(self):
+        with pytest.raises(SchemaError) as info:
+            parse_network_document(_vector_document(["1", "2*", "3", "2*"]))
+        assert info.value.path == "$.nodes[0].activation.entries[1]"
+
+    def test_each_distinct_text_is_parsed_once_per_call(self, parsed):
+        text = json.dumps(_vector_document(self.TEXTS))
+        first = parse_network(text)
+        assert parsed == Counter(set(self.TEXTS))
+        assert parse_network(text) == first
+        assert parsed == Counter(2 * list(set(self.TEXTS)))  # nothing is kept across calls
+
+    def test_a_tensor_block_parses_each_cell_expression_once(self, parsed):
+        block = "shape: 2 x 2\n1,1 = alpha*beta\n1,2 = 3\n2,1 = alpha*beta\n2,2 = alpha*beta\n"
+        tensor = parse_tensor(block)
+        assert parsed == Counter({"alpha*beta": 1, "3": 1})
+        assert tensor == Tensor((2, 2), [ALPHA * BETA, 3, ALPHA * BETA, ALPHA * BETA])
 
 
 #: One activation of each family and the in-degree it suits, at arity 2.

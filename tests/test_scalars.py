@@ -1,6 +1,8 @@
 """Exact polynomial scalars: ring laws, evaluation, parsing, serialization."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -232,12 +234,75 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("alpha beta")
 
+    @pytest.mark.parametrize("text, message", [
+        ("\u00b2", "at offset 0: expected an integer, identifier, '(' or '-', found '\u00b2'"),
+        ("a^\u00b2", "at offset 2: expected an unsigned integer, found '\u00b2'"),
+        ("1" * 5000, "at offset 0: expected an integer of at most 4300 digits, found 5000 digits"),
+    ], ids=["superscript", "superscript-power", "too-many-digits"])
+    def test_only_decimal_digits_read_as_integers(self, text, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert str(info.value) == message
+
+    def test_decimal_digits_of_any_script_read_as_integers(self):
+        assert parse_expr("\u0663*a") == parse_expr("3*a")  # ARABIC-INDIC DIGIT THREE
+
     def test_nesting_depth_is_bounded(self):
         assert parse_expr("(" * 100 + "alpha" + ")" * 100) == ALPHA
         assert parse_expr("-(" * 50 + "alpha" + ")" * 50) == ALPHA
         for text in ("(" * 101 + "alpha" + ")" * 101, "-" * 101 + "alpha"):
             with pytest.raises(ExprSyntaxError):
                 parse_expr(text)
+
+
+#: Factor texts: integers, p/q, names with powers, parenthesised sums and unary minus.
+factor_texts = st.recursive(
+    st.one_of(
+        st.integers(0, 12).map(str),
+        st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9)),
+        st.builds("{}^{}".format, st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 3)),
+        st.sampled_from(["a", "b", "c", "d"]),
+    ),
+    lambda inner: st.one_of(
+        st.builds("({} + {})".format, inner, inner),
+        st.builds("({} - {})".format, inner, inner),
+        inner.map("-{}".format),
+    ),
+    max_leaves=4,
+)
+
+
+class TestTerms:
+    """A term multiplies all of its factors at once."""
+
+    @settings(max_examples=300)
+    @given(st.lists(factor_texts, min_size=1, max_size=6))
+    def test_a_term_is_the_left_to_right_product_of_its_factors(self, texts):
+        assert parse_expr("*".join(texts)) == reduce(mul, map(parse_expr, texts))
+
+    def test_a_long_chain_rekeys_each_factor_once_at_most(self, monkeypatch):
+        calls = []
+        rekeyed = scalars._rekeyed
+        monkeypatch.setattr(scalars, "_rekeyed",
+                            lambda terms, old, new: calls.append(old) or rekeyed(terms, old, new))
+        value = parse_expr("*".join(f"c{i}^2" for i in range(500)))
+        assert len(calls) <= 500
+        assert value.terms() == [(tuple(sorted((f"c{i}", 2) for i in range(500))), 1)]
+
+    def test_the_exponent_limit_holds_across_a_term(self):
+        half = f"alpha^{2 ** 62}"
+        with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
+            parse_expr(f"{half}*beta*{half}")
+        with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
+            parse_expr(f"2*{half}*(beta + 1)*{half}")
+        assert parse_expr(f"{half}*beta*alpha^{2 ** 62 - 1}") == ALPHA ** _MAX_EXPONENT * BETA
+
+    def test_a_zero_factor_refuses_only_what_comes_before_it(self):
+        half = f"alpha^{2 ** 62}"
+        assert parse_expr(f"0*{half}*{half}*{half}").is_zero()
+        assert parse_expr(f"{half}*0*{half}*beta").is_zero()
+        with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
+            parse_expr(f"{half}*{half}*0")
 
 
 class TestSerialization:
