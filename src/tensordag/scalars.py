@@ -569,21 +569,33 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
 
 
 def _product(values: Sequence[PolyScalar]) -> PolyScalar:
-    """The product of ``values``, refused for the same reasons as multiplying
-    them left to right.  The one-term factors are re-keyed once to the union of
-    their names, their keys added and their coefficients multiplied; each other
-    factor is then multiplied in."""
-    if len(values) == 2:  # left to right re-keys each of two factors once at most
-        return values[0] * values[1]
-    monomials, others = [], []
+    """The product of ``values``, refused where and as multiplying them left to
+    right is.  A leading run of one-term factors is multiplied at once by
+    `_monomial_product`; the factors after it are multiplied in left to right."""
+    run = 0
     for value in values:
-        if not value._terms:  # left to right, only the factors before a zero can be refused
-            return math.prod(values)
-        (monomials if len(value._terms) == 1 else others).append(value)
-    names = tuple(sorted({name for value in monomials for name in value._names}))
+        if len(value._terms) != 1:
+            break
+        run += 1
+    result, rest = values[0], values[1:]
+    if run > 1:
+        names = tuple(sorted({name for value in values[:run] for name in value._names}))
+        # Left to right, a run too wide to hold is refused at the factor that
+        # makes it so, with the width of the names up to there.
+        if len(names) < _MAX_KEY_FIELDS:
+            result, rest = _monomial_product(values[:run], names), values[run:]
+    for value in rest:
+        result = result * value
+    return result
+
+
+def _monomial_product(values: Sequence[PolyScalar], names: tuple[str, ...]) -> PolyScalar:
+    """The product of one-term ``values`` over ``names``, the union of their
+    names: each is re-keyed once, the keys are added and the coefficients
+    multiplied."""
     top = _FIELD_BITS * len(names)  # the total degree's shift
     key, numerator, den = 0, 1, 1
-    for value in monomials:
+    for value in values:
         (moved, coeff), = _rekeyed(value._terms, value._names, names).items()
         key += moved
         # Every field stays at most _MAX_EXPONENT, so the next sum cannot carry.
@@ -591,10 +603,7 @@ def _product(values: Sequence[PolyScalar]) -> PolyScalar:
             _check_exponents((key,), len(names))
         numerator *= coeff
         den *= value._den
-    result = PolyScalar(names, {key: numerator}, den)
-    for value in others:
-        result = result * value
-    return result
+    return PolyScalar(names, {key: numerator}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +680,8 @@ class _Parser:
                 return values[0] if len(values) == 1 else _sum(values)
 
     def term(self) -> PolyScalar:
-        # The factors are multiplied at once, so each one-term factor is
-        # re-keyed to the union of their names once, not once per '*'.
+        # The factors are multiplied together, so each leading one-term factor
+        # is re-keyed to the union of their names once, not once per '*'.
         values = [self.factor()]
         while self.peek() == "*":
             self.pos += 1

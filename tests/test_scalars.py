@@ -304,6 +304,38 @@ class TestTerms:
         with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
             parse_expr(f"{half}*{half}*0")
 
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(factor_texts, st.just(f"a^{2 ** 62}")), min_size=2, max_size=6))
+    def test_a_term_is_refused_as_its_left_to_right_product_is(self, texts):
+        assert _outcome(lambda: parse_expr("*".join(texts))) == \
+            _outcome(lambda: reduce(mul, map(parse_expr, texts)))
+
+    def test_factors_after_a_wide_product_keep_its_refusal(self):
+        # Left to right, the product of the two sums is refused before c or the
+        # powers of x join its names.
+        a, b = (" + ".join(f"{name}{i}" for i in range(81)) for name in "ab")
+        half = f"x^{2 ** 62}"
+        for tail in ("c", f"{half}*{half}"):
+            with pytest.raises(TensordagInputError, match="6480 terms over 162 parameters"):
+                parse_expr(f"({a}) * ({b}) * {tail}")
+
+    def test_a_run_of_factors_too_wide_to_hold_is_refused_left_to_right(self, monkeypatch):
+        monkeypatch.setattr(scalars, "_MAX_KEY_FIELDS", 64)
+        names = [f"a{i}" for i in range(70)]
+        half = f"x^{2 ** 62}"
+        with pytest.raises(TensordagInputError, match="1 terms over 64 parameters"):
+            parse_expr("*".join(names))
+        with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
+            parse_expr("*".join([half, half, *names]))
+
+
+def _outcome(compute):
+    """The value ``compute()`` returns, or the message of its input error."""
+    try:
+        return compute()
+    except TensordagInputError as error:
+        return str(error)
+
 
 class TestSerialization:
     def test_canonical_term_order(self):
