@@ -44,8 +44,8 @@ from itertools import product
 from typing import Container, Iterator, Sequence, Union
 
 from .networks import (DEFAULT_CELL_CAP, FAMILIES, ActivationSpec, NetworkSpec, NodeSpec,
-                       entry_count)
-from .scalars import _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
+                       entry_count, map_entries)
+from .scalars import _NAME, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
 from .tensors import ShapeMismatch, Tensor, _strides
 
 
@@ -224,20 +224,12 @@ def parse_network(text: str) -> NetworkSpec:
     return parse_network_document(doc)
 
 
-def _activation_to_document(activation: ActivationSpec) -> dict:
-    document = {"type": activation.kind}
-    for field in fields(activation):
-        value = getattr(activation, field.name)
-        document[field.name] = [str(e) for e in value] if field.name == "entries" else str(value)
-    return document
-
-
 def network_to_document(spec: NetworkSpec) -> dict:
     return {
         "arity": spec.arity,
         "nodes": [
-            {"id": node.id, "parents": list(node.parents),
-             "activation": _activation_to_document(node.activation)}
+            {"id": node.id, "parents": list(node.parents), "activation": {
+                "type": node.activation.kind, **map_entries(node.activation, str, list)}}
             for node in spec.nodes
         ],
     }
@@ -364,8 +356,7 @@ def parse_assignment(text: str) -> dict[str, Number]:
         raw = raw.strip()
         if not sep or not name or not raw:
             raise AssignmentSyntaxError(f"expected 'name=value', got {part.strip()!r}")
-        if not (name[0].isalpha() or name[0] == "_") or not all(
-                c.isalnum() or c == "_" for c in name):
+        if not _NAME.fullmatch(name):
             raise AssignmentSyntaxError(f"bad parameter name {name!r}")
         if name in bindings:
             raise AssignmentSyntaxError(f"parameter {name!r} assigned twice")

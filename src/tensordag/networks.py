@@ -39,7 +39,7 @@ import heapq
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
-from typing import ClassVar, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 from .scalars import (_MAX_POWER_BITS, _ONE, _ZERO, Assignment, PolyScalar, TensordagInputError,
                       _size_bits, count_text)
@@ -570,16 +570,13 @@ def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
 
 
-def _entries(activation: ActivationSpec) -> list[PolyScalar]:
-    """Every entry an activation lists, field by field."""
-    entries: list[PolyScalar] = []
-    for field in fields(activation):
-        value = getattr(activation, field.name)
-        if field.name == "entries":
-            entries.extend(value)
-        else:
-            entries.append(value)
-    return entries
+def map_entries(activation: ActivationSpec, function: Callable[[PolyScalar], object],
+                listed: Callable[[Iterable], object] = tuple) -> dict[str, object]:
+    """Each field of ``activation`` by name, with ``function`` applied to its
+    entry; a tuple field lists entries, and holds ``listed`` of their images."""
+    return {field.name: (listed(map(function, value)) if isinstance(value, tuple)
+                         else function(value))
+            for field in fields(activation) for value in [getattr(activation, field.name)]}
 
 
 def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | None:
@@ -606,40 +603,25 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
     """
     if any(isinstance(value, float) for value in bindings.values()):
         return None
-    node_entries = [_entries(node.activation) for node in spec.nodes]
+    node_entries: list[list[PolyScalar]] = [[] for _ in spec.nodes]
+    for node, entries in zip(spec.nodes, node_entries):
+        map_entries(node.activation, entries.append)
     if sum(map(len, node_entries)) >= spec.arity ** spec.node_count:
         return None
-    sizes = {name: _size_bits(value) for name, value in bindings.items()}
-    largest: dict[PolyScalar, int] = {}  # distinct entries with a parameter: largest term size
-    bits = 0
-    for entries in node_entries:
-        node_bits = 0
-        for entry in entries:
-            names = entry.parameters()
-            if not names:
-                continue  # a constant is kept as it is
-            entry_bits = largest.get(entry)
-            if entry_bits is None:
-                if not names <= sizes.keys():
-                    return None
-                entry_bits = largest[entry] = max(
-                    sum(sizes[name] * power for name, power in mono) for mono, _ in entry.terms())
-            node_bits = max(node_bits, entry_bits)
-        bits += node_bits
-        if bits > _MAX_POWER_BITS:
-            return None
-    if not largest:
+    symbolic = {entry for entries in node_entries for entry in entries if entry.parameters()}
+    if not symbolic or any(not entry.parameters() <= bindings.keys() for entry in symbolic):
         return None
-    values = {entry: PolyScalar.constant(entry.evaluate(bindings)) for entry in largest}
-
-    def evaluated(activation: ActivationSpec) -> ActivationSpec:
-        return replace(activation, **{
-            field.name: (tuple(values.get(entry, entry) for entry in held)
-                         if field.name == "entries" else values.get(held, held))
-            for field in fields(activation) for held in [getattr(activation, field.name)]})
-
-    return replace(spec, nodes=tuple(replace(node, activation=evaluated(node.activation))
-                                     for node in spec.nodes))
+    sizes = {name: _size_bits(value) for name, value in bindings.items()}
+    largest = {entry: max(sum(sizes[name] * power for name, power in mono)
+                          for mono, _ in entry.terms()) for entry in symbolic}
+    if sum(max((largest.get(entry, 0) for entry in entries), default=0)
+           for entries in node_entries) > _MAX_POWER_BITS:
+        return None
+    values = {entry: PolyScalar.constant(entry.evaluate(bindings)) for entry in symbolic}
+    return replace(spec, nodes=tuple(
+        replace(node, activation=replace(node.activation, **map_entries(
+            node.activation, lambda entry: values.get(entry, entry))))
+        for node in spec.nodes))
 
 
 @dataclass(frozen=True)
@@ -695,7 +677,6 @@ def verify_totals(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Verif
     direct = total_direct(spec, max_cells)
     if direct == via_product:
         return VerificationResult(True, direct.ncells)
-    for idx, a, b in zip(direct.indices(), direct.cells, via_product.cells):
-        if a != b:
-            return VerificationResult(False, direct.ncells, (idx, a, b))
-    raise AssertionError("tensors differ but no differing cell found")
+    cells = zip(direct.indices(), direct.cells, via_product.cells)
+    first = next((idx, a, b) for idx, a, b in cells if a != b)
+    return VerificationResult(False, direct.ncells, first)

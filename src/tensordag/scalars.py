@@ -39,6 +39,7 @@ and are deterministic.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -504,6 +505,11 @@ def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted({*a, *b}))
 
 
+def _names_of(values: Iterable[PolyScalar]) -> tuple[str, ...]:
+    """The sorted union of the names of ``values``."""
+    return tuple(sorted({name for value in values for name in value._names}))
+
+
 @lru_cache(maxsize=256)
 def _shifts(names: tuple[str, ...]) -> dict[str, int]:
     """The shift of each name's field in a key over ``names``."""
@@ -551,7 +557,7 @@ def _trimmed(names: tuple[str, ...], terms: dict[int, int], den: int) -> PolySca
 
 def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
     """The sum of ``values``, each term re-keyed once to the union of their names."""
-    names = tuple(sorted({name for value in values for name in value._names}))
+    names = _names_of(values)
     count = sum(len(value._terms) for value in values)
     if count * (len(names) + 1) > _MAX_KEY_FIELDS:
         raise _too_wide(count, len(names))
@@ -579,7 +585,7 @@ def _product(values: Sequence[PolyScalar]) -> PolyScalar:
         run += 1
     result, rest = values[0], values[1:]
     if run > 1:
-        names = tuple(sorted({name for value in values[:run] for name in value._names}))
+        names = _names_of(values[:run])
         # Left to right, a run too wide to hold is refused at the factor that
         # makes it so, with the width of the names up to there.
         if len(names) < _MAX_KEY_FIELDS:
@@ -613,7 +619,8 @@ def _monomial_product(values: Sequence[PolyScalar], names: tuple[str, ...]) -> P
 # term   := factor ('*' factor)*
 # factor := atom ('^' uint)?
 # atom   := uint | uint '/' uint | ident | '(' expr ')' | '-' atom
-# ident  := [A-Za-z_][A-Za-z0-9_]*
+# ident  := _NAME    (the compiled patterns below)
+# uint   := _UINT
 #
 # Whitespace is insignificant.  Division appears only between integer
 # literals (rational constants); general division and negative exponents are
@@ -621,6 +628,11 @@ def _monomial_product(values: Sequence[PolyScalar], names: tuple[str, ...]) -> P
 # A term's factors are all read before they are multiplied, so a syntax
 # error in a term is reported before a refusal of its product.
 # ---------------------------------------------------------------------------
+
+#: A name is ASCII.  ``\d`` is the Unicode category Nd, the decimal digits of
+#: any script, which ``int()`` converts.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_UINT = re.compile(r"\d+")
 
 
 class _Parser:
@@ -643,26 +655,16 @@ class _Parser:
 
     def take_uint(self) -> int:
         self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
+        match = _UINT.match(self.text, self.pos)
+        if match is None:
             raise self.fail("an unsigned integer")
+        self.pos = match.end()
         try:
-            return int(self.text[start : self.pos])
+            return int(match.group())
         except ValueError:  # more digits than int() converts
             raise ExprSyntaxError(
-                start, f"an integer of at most {sys.get_int_max_str_digits()} digits",
-                f"{self.pos - start} digits") from None
-
-    def take_ident(self) -> str:
-        ch = self.peek()
-        start = self.pos
-        if not (ch.isalpha() or ch == "_"):
-            raise self.fail("an identifier")
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start : self.pos]
+                match.start(), f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                f"{self.pos - match.start()} digits") from None
 
     def expr(self) -> PolyScalar:
         # The terms are summed at once, so each is re-keyed to the union of
@@ -713,7 +715,7 @@ class _Parser:
                 self.pos += 1
             self.depth -= 1
             return value
-        if ch.isdecimal():  # the digits int() converts; isdigit() also takes '²'
+        if ch.isdecimal():  # what _UINT matches; isdigit() also takes '²'
             numerator = self.take_uint()
             if self.peek() == "/":
                 self.pos += 1
@@ -723,9 +725,11 @@ class _Parser:
                     raise ExprSyntaxError(mark, "a nonzero denominator", "0")
                 return PolyScalar.constant(Fraction(numerator, denominator))
             return PolyScalar.constant(numerator)
-        if ch.isalpha() or ch == "_":
-            return PolyScalar.parameter(self.take_ident())
-        raise self.fail("an integer, identifier, '(' or '-'")
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
+            raise self.fail("an integer, identifier, '(' or '-'")
+        self.pos = match.end()
+        return PolyScalar.parameter(match.group())
 
 
 def parse_expr(text: str) -> PolyScalar:

@@ -193,6 +193,23 @@ class TestTotal:
         assert result.code == 1
         assert result.out.startswith("DIFFER at 1,1,2:")
 
+    def test_verify_names_the_first_of_two_differing_cells(self, run_cli, fixtures_dir,
+                                                           monkeypatch):
+        # corrupt cells 1,2,2 and 2,2,1 of the product route, the later one first
+        real = networks.total_bmp
+
+        def corrupted(spec, max_cells=networks.DEFAULT_CELL_CAP):
+            t = real(spec, max_cells)
+            cells = list(t.cells)
+            cells[6] = cells[6] + 1
+            cells[3] = cells[3] + 1
+            return Tensor(t.shape, cells)
+
+        monkeypatch.setattr(networks, "total_bmp", corrupted)
+        result = run_cli("total", str(fixtures_dir / "chain.json"), "--method", "verify")
+        assert result.code == 1
+        assert result.out.startswith("DIFFER at 1,2,2:")
+
     def test_assign_indicator(self, run_cli, fixtures_dir):
         result = run_cli("total", str(fixtures_dir / "chain.json"),
                          "--method", "direct", "--assign", "alpha=1,beta=0")
@@ -231,7 +248,8 @@ class TestTotal:
             run_cli("total", str(fixtures_dir / "chain.json"))
 
     @pytest.mark.parametrize("method", ["direct", "bmp"])
-    @pytest.mark.parametrize("assign", ["alpha=", "alpha=1/0", "alpha=1,alpha=2", "1alpha=3"])
+    @pytest.mark.parametrize("assign", ["alpha=", "alpha=1/0", "alpha=1,alpha=2", "1alpha=3",
+                                        "a\u00b2=2"])
     def test_bad_assign_is_refused_before_any_route_work(self, run_cli, fixtures_dir,
                                                          monkeypatch, method, assign):
         def refuse(*args, **kwargs):
@@ -491,6 +509,8 @@ HOSTILE_INPUTS = [
     ("deep-json", "[" * 100_000 + "]" * 100_000, ["validate"], False),
     ("non-utf8", b'\xff\xfe{"arity": 2}', ["validate"], False),
     ("long-integer-literal", _source_document("1" * 5000), ["validate"], False),
+    ("superscript-after-a-name", _source_document("a\u00b2*a"), ["validate"], False),
+    ("non-ascii-name", _source_document("\u03b1"), ["validate"], False),
     ("long-json-integer", '{"arity": 1' + "0" * 5000 + ', "nodes": []}', ["validate"], False),
     ("unhashable-activation-type", json.dumps({"arity": 2, "nodes": [
         {"id": "b", "activation": {"type": ["vector"], "entries": ["1", "1"]}}]}),

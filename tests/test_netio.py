@@ -363,3 +363,8 @@ class TestAssignments:
     def test_malformed_assignments(self, text):
         with pytest.raises(AssignmentSyntaxError):
             parse_assignment(text)
+
+    @pytest.mark.parametrize("text", ["a\u00b2=2", "\u03b1=1"])
+    def test_names_are_those_of_the_expression_grammar(self, text):
+        with pytest.raises(AssignmentSyntaxError, match="bad parameter name"):
+            parse_assignment(text)

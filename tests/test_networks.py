@@ -742,6 +742,13 @@ class TestEvaluatedNetwork:
         spec = self.chain((power, BETA), (power, ZERO), (power, ZERO))
         assert (networks.evaluated_network(spec, bindings) is not None) == evaluates
 
+    def test_none_where_an_unbound_entry_follows_a_node_over_the_bit_limit(self):
+        power = parse_expr("alpha^40000")  # 14 * 40 000 bits a node: over 2^20 for two
+        spec = self.chain((power, PolyScalar.constant(1)), (power, ZERO),
+                          (ALPHA, parse_expr("gamma")))
+        assert networks.evaluated_network(spec, {"alpha": 2 ** 14}) is None
+        assert networks.evaluated_network(spec, {"alpha": 2 ** 14, "gamma": 1}) is None
+
     def test_none_where_evaluating_first_saves_no_evaluation(self):
         bindings = {"alpha": 1, "beta": 2}
         three = PolyScalar.constant(3)

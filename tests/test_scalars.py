@@ -247,6 +247,25 @@ class TestParsing:
     def test_decimal_digits_of_any_script_read_as_integers(self):
         assert parse_expr("\u0663*a") == parse_expr("3*a")  # ARABIC-INDIC DIGIT THREE
 
+    @pytest.mark.parametrize("text, message", [
+        ("a\u00b2*a", "at offset 1: expected end of input, found '\u00b2'"),
+        ("\u03b1", "at offset 0: expected an integer, identifier, '(' or '-', found '\u03b1'"),
+        ("\u00e9", "at offset 0: expected an integer, identifier, '(' or '-', found '\u00e9'"),
+    ], ids=["superscript-after-a-name", "greek-letter", "accented-letter"])
+    def test_names_are_ascii(self, text, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert str(info.value) == message
+
+    def test_names_take_digits_and_underscores(self):
+        assert parse_expr("a_1*B2") == PolyScalar.parameter("a_1") * PolyScalar.parameter("B2")
+        assert parse_expr("_x") == PolyScalar.parameter("_x")
+
+    @given(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True))
+    def test_every_name_of_the_grammar_parses_to_one_parameter(self, name):
+        value = parse_expr(name)
+        assert value.parameters() == {name} and value == PolyScalar.parameter(name)
+
     def test_nesting_depth_is_bounded(self):
         assert parse_expr("(" * 100 + "alpha" + ")" * 100) == ALPHA
         assert parse_expr("-(" * 50 + "alpha" + ")" * 50) == ALPHA
