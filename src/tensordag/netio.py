@@ -375,5 +375,7 @@ def _parse_number(raw: str) -> Number:
             num, _, den = raw.partition("/")
             return Fraction(int(num.strip()), int(den.strip()))
         return int(raw)
-    except (ValueError, ZeroDivisionError, OverflowError) as err:
+    except ZeroDivisionError:
+        raise AssignmentSyntaxError(f"bad value {raw!r}: zero denominator") from None
+    except (ValueError, OverflowError) as err:
         raise AssignmentSyntaxError(f"bad value {raw!r}: {err}") from err

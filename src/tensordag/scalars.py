@@ -202,8 +202,8 @@ class PolyScalar:
 
     @classmethod
     def monomial(cls, coeff: int | Fraction, powers: Mapping[str, int]) -> "PolyScalar":
-        return math.prod((cls.parameter(name) ** power for name, power in powers.items()),
-                         start=cls.constant(coeff))
+        return _product([cls.constant(coeff),
+                         *(cls.parameter(name) ** power for name, power in powers.items())])
 
     # -- queries ---------------------------------------------------------
 
@@ -464,10 +464,8 @@ def _scaled(terms: dict[int, int], factor: int) -> dict[int, int]:
 
 def _monomial(key: int, names: tuple[str, ...]) -> Monomial:
     """The ``(name, power)`` pairs of a packed key, powers >= 1."""
-    shift = _FIELD_BITS * len(names)
     pairs = []
-    for name in names:
-        shift -= _FIELD_BITS
+    for name, shift in _shifts(names).items():
         power = key >> shift & _FIELD_MASK
         if power:
             pairs.append((name, power))
@@ -512,22 +510,10 @@ def _names_of(values: Iterable[PolyScalar]) -> tuple[str, ...]:
 
 @lru_cache(maxsize=256)
 def _shifts(names: tuple[str, ...]) -> dict[str, int]:
-    """The shift of each name's field in a key over ``names``."""
-    return {name: _FIELD_BITS * i for i, name in enumerate(reversed(names))}
-
-
-@lru_cache(maxsize=256)
-def _plan(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
-    """How to move a key over ``old`` to a key over ``new``: ``(source shift,
-    target shift)`` pairs, the first for the total degree and the leading names
-    the two share, one more for each other name of ``old`` found in ``new``."""
-    lead = 0
-    while lead < min(len(old), len(new)) and old[lead] == new[lead]:
-        lead += 1
-    source, target = _shifts(old), _shifts(new)
-    moves = [(_FIELD_BITS * (len(old) - lead), _FIELD_BITS * (len(new) - lead))]
-    moves.extend((source[name], target[name]) for name in old[lead:] if name in target)
-    return tuple(moves)
+    """The shift of each name's field in a key over ``names``, in name order:
+    the first name's field is the most significant, just below the total degree."""
+    top = _FIELD_BITS * len(names)
+    return {name: top - _FIELD_BITS * i for i, name in enumerate(names, 1)}
 
 
 def _rekeyed(terms: dict[int, int], old: tuple[str, ...], new: tuple[str, ...]) -> dict[int, int]:
@@ -536,12 +522,14 @@ def _rekeyed(terms: dict[int, int], old: tuple[str, ...], new: tuple[str, ...]) 
         return terms
     if len(terms) * (len(new) + 1) > _MAX_KEY_FIELDS:
         raise _too_wide(len(terms), len(new))
-    (top, to_top), *moves = _plan(old, new)
+    top, to_top = _FIELD_BITS * len(old), _FIELD_BITS * len(new)  # the total degree's shifts
+    target = _shifts(new)
+    moves = [(shift, target[name]) for name, shift in _shifts(old).items() if name in target]
     out = {}
     for key, coeff in terms.items():
         moved = key >> top << to_top
-        for source, target in moves:
-            moved |= (key >> source & _FIELD_MASK) << target
+        for source, to in moves:
+            moved |= (key >> source & _FIELD_MASK) << to
         out[moved] = coeff
     return out
 

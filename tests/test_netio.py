@@ -364,6 +364,12 @@ class TestAssignments:
         with pytest.raises(AssignmentSyntaxError):
             parse_assignment(text)
 
+    @pytest.mark.parametrize("value", ["1/0", "1/-0"])
+    def test_a_zero_denominator_is_named(self, value):
+        with pytest.raises(AssignmentSyntaxError) as error:
+            parse_assignment(f"x={value}")
+        assert str(error.value) == f"bad value {value!r}: zero denominator"
+
     @pytest.mark.parametrize("text", ["a\u00b2=2", "\u03b1=1"])
     def test_names_are_those_of_the_expression_grammar(self, text):
         with pytest.raises(AssignmentSyntaxError, match="bad parameter name"):

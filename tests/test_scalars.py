@@ -308,6 +308,15 @@ class TestTerms:
         assert len(calls) <= 500
         assert value.terms() == [(tuple(sorted((f"c{i}", 2) for i in range(500))), 1)]
 
+    def test_a_monomial_rekeys_each_factor_once_at_most(self, monkeypatch):
+        calls = []
+        rekeyed = scalars._rekeyed
+        monkeypatch.setattr(scalars, "_rekeyed",
+                            lambda terms, old, new: calls.append(old) or rekeyed(terms, old, new))
+        value = PolyScalar.monomial(1, {f"c{i}": 2 for i in range(500)})
+        assert len(calls) <= 501  # the coefficient and each of the 500 powers
+        assert value == parse_expr("*".join(f"c{i}^2" for i in range(500)))
+
     def test_the_exponent_limit_holds_across_a_term(self):
         half = f"alpha^{2 ** 62}"
         with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
@@ -497,8 +506,36 @@ def _poly(reference: dict) -> PolyScalar:
                PolyScalar.zero())
 
 
+@st.composite
+def key_layouts(draw) -> tuple[PolyScalar, list[str]]:
+    """A polynomial over some of the names ``m0``..``m5``, and extra names that
+    sort after them, before them or among them."""
+    names = [f"m{i}" for i in range(6)]
+    monomials = draw(st.lists(st.dictionaries(st.sampled_from(names), st.integers(0, _MAX_EXPONENT),
+                                              min_size=1), min_size=1, max_size=4))
+    value = sum((PolyScalar.monomial(1, powers) for powers in monomials), PolyScalar.zero())
+    extra = draw(st.sampled_from([[f"n{i}" for i in range(6)], [f"l{i}" for i in range(6)],
+                                  [f"{name}_" for name in names]]))
+    return value, draw(st.lists(st.sampled_from(extra), min_size=1, unique=True))
+
+
 class TestPackedKeys:
     """Terms of packed-key arithmetic against plain dicts keyed by ``(name, power)`` tuples."""
+
+    @settings(max_examples=200)
+    @given(key_layouts())
+    def test_rekeying_onto_more_names_and_back_keeps_every_key(self, layout):
+        value, extra = layout
+        old = value._names
+        new = tuple(sorted({*old, *extra}))
+        moved = scalars._rekeyed(value._terms, old, new)
+        assert scalars._rekeyed(moved, new, old) == value._terms
+        assert [scalars._monomial(key, new) for key in moved] == \
+            [scalars._monomial(key, old) for key in value._terms]
+        assert PolyScalar(new, moved).total_degree() == value.total_degree()
+        # Fields of 0 change no comparison, so the terms keep their order.
+        pairs = list(zip(value._terms, moved))
+        assert sorted(pairs) == sorted(pairs, key=lambda pair: pair[1])
 
     @settings(max_examples=200)
     @given(reference_polys, reference_polys, st.integers(0, 3))
