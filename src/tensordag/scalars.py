@@ -247,23 +247,7 @@ class PolyScalar:
             return rhs
         if not rhs._terms:
             return self
-        names = self._names
-        if names != rhs._names:
-            if names and rhs._names:
-                return _sum((self, rhs))
-            names = names or rhs._names  # a constant's key is 0 under any names
-        den = math.lcm(self._den, rhs._den)
-        out = _scaled(self._terms, den // self._den)
-        scale = den // rhs._den
-        cancelled = False
-        for key, coeff in rhs._terms.items():
-            total = out.get(key, 0) + coeff * scale
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-                cancelled = True
-        return _trimmed(names, out, den) if cancelled else PolyScalar(names, out, den)
+        return _sum((self, rhs))
 
     __radd__ = __add__
 
@@ -499,13 +483,9 @@ def _monomial_text(key: int, names: tuple[str, ...]) -> tuple[str, bool]:
 
 
 @lru_cache(maxsize=256)
-def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(sorted({*a, *b}))
-
-
-def _names_of(values: Iterable[PolyScalar]) -> tuple[str, ...]:
-    """The sorted union of the names of ``values``."""
-    return tuple(sorted({name for value in values for name in value._names}))
+def _union(*names: tuple[str, ...]) -> tuple[str, ...]:
+    """The sorted union of the name tuples ``names``."""
+    return tuple(sorted({name for group in names for name in group}))
 
 
 @lru_cache(maxsize=256)
@@ -544,14 +524,30 @@ def _trimmed(names: tuple[str, ...], terms: dict[int, int], den: int) -> PolySca
 
 
 def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
-    """The sum of ``values``, each term re-keyed once to the union of their names."""
-    names = _names_of(values)
-    count = sum(len(value._terms) for value in values)
+    """The sum of ``values``, each term re-keyed once to the union of their names.
+
+    When every operand with names has the same names (a constant has none),
+    those are the union and no term is re-keyed.
+    """
+    names: tuple[str, ...] = ()
+    count, den, mixed = 0, 1, False
+    for value in values:
+        count += len(value._terms)
+        den = math.lcm(den, value._den)
+        if value._names != names and value._names:
+            if names:
+                mixed = True
+            else:
+                names = value._names
+    if mixed:
+        names = _union(*(value._names for value in values))
     if count * (len(names) + 1) > _MAX_KEY_FIELDS:
         raise _too_wide(count, len(names))
-    den = math.lcm(*(value._den for value in values))
-    out: dict[int, int] = {}
-    for value in values:
+    # The first operand's terms are copied at once; the merge loop adds the rest.
+    first = values[0]
+    out = _scaled(_rekeyed(first._terms, first._names, names), den // first._den)
+    cancelled = False
+    for value in values[1:]:
         scale = den // value._den
         for key, coeff in _rekeyed(value._terms, value._names, names).items():
             total = out.get(key, 0) + coeff * scale
@@ -559,7 +555,9 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
                 out[key] = total
             else:
                 del out[key]
-    return _trimmed(names, out, den)
+                cancelled = True
+    # Without a cancellation every key of every operand is kept, so every name is used.
+    return _trimmed(names, out, den) if cancelled else PolyScalar(names, out, den)
 
 
 def _product(values: Sequence[PolyScalar]) -> PolyScalar:
@@ -573,7 +571,7 @@ def _product(values: Sequence[PolyScalar]) -> PolyScalar:
         run += 1
     result, rest = values[0], values[1:]
     if run > 1:
-        names = _names_of(values[:run])
+        names = _union(*(value._names for value in values[:run]))
         # Left to right, a run too wide to hold is refused at the factor that
         # makes it so, with the width of the names up to there.
         if len(names) < _MAX_KEY_FIELDS:

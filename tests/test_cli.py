@@ -420,6 +420,19 @@ class TestBmpCommand:
                          str(fixtures_dir / "cube_base1.txt"))
         assert result.code == 2
 
+    def test_a_cell_too_wide_to_hold_is_refused(self, run_cli, tmp_path):
+        # The one cell sums two polynomials over the same 1023 names: 2046 terms
+        # need over 2^20 exponent fields.
+        p = " + ".join(f"a{i}" for i in range(1023))
+        q = " + ".join(f"a{i}^2" for i in range(1023))
+        left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+        left.write_text(f"shape: 1 x 2\n1,1 = {p}\n1,2 = {q}\n")
+        right.write_text("shape: 2 x 1\n1,1 = 1\n2,1 = 1\n")
+        result = run_cli("bmp", str(left), str(right))
+        assert (result.code, result.out) == (2, "")
+        assert result.err.count("\n") == 1
+        assert result.err.startswith("error: ") and "too large to hold" in result.err
+
 
 class TestFamilies:
     def test_list(self, run_cli):

@@ -608,6 +608,17 @@ class TestPackedKeys:
     def test_too_wide_a_polynomial_is_refused(self):
         with pytest.raises(TensordagInputError, match="too large to hold"):
             parse_expr(" + ".join(f"a{i}" for i in range(1024)))
+        # The operators sum through the parser's code, so operands over the same
+        # names are refused with the parser's message for the same sum.
+        p = parse_expr(" + ".join(f"a{i}" for i in range(1023)))
+        q = parse_expr(" + ".join(f"a{i}^2" for i in range(1023)))
+        message = "2046 terms over 1023 parameters"
+        with pytest.raises(TensordagInputError, match=message):
+            parse_expr(f"{p} + {q}")
+        with pytest.raises(TensordagInputError, match=message):
+            p + q
+        with pytest.raises(TensordagInputError, match=message):
+            p - (-q)
 
     def test_a_factor_too_wide_to_rekey_is_refused(self):
         # 1023 terms moved onto the 1025 names of the product need over 2^20 fields.
