@@ -43,10 +43,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Container, Iterator, Sequence, Union
 
-from .networks import (DEFAULT_CELL_CAP, FAMILIES, ActivationSpec, NetworkSpec, NodeSpec,
-                       entry_count, map_entries)
+from .networks import FAMILIES, ActivationSpec, NetworkSpec, NodeSpec, entry_count, map_entries
 from .scalars import _NAME, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
-from .tensors import ShapeMismatch, Tensor, _strides
+from .tensors import DEFAULT_CELL_CAP, ShapeMismatch, Tensor, _strides
 
 
 class SchemaError(TensordagInputError):
@@ -331,7 +330,8 @@ def parse_tensor(text: str) -> Tensor:
             cells[flat] = parsed[right.strip()]
         except TensordagInputError as err:
             raise TensorSyntaxError(line_no, f"bad expression: {err}") from err
-    return Tensor(shape, cells)
+    # The header rules have checked the shape, and every cell is a parsed PolyScalar.
+    return Tensor._view(shape, cells)
 
 
 # ---------------------------------------------------------------------------

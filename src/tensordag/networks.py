@@ -38,16 +38,14 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from itertools import product, repeat
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 from .scalars import (_MAX_POWER_BITS, _ONE, _ZERO, Assignment, PolyScalar, TensordagInputError,
                       _size_bits, count_text)
-from .tensors import Tensor, _contract, _product, blow, forget, summand_ordered_bmp
-
-#: Materializing a tensor with more cells than this is refused by default;
-#: an order-d network costs n**d cells per node tensor.
-DEFAULT_CELL_CAP = 2 ** 24
+from .tensors import (DEFAULT_CELL_CAP, Tensor, _contract, _product, blow, forget,
+                      summand_ordered_bmp)
 
 
 class FamilyArityMismatch(TensordagInputError):
@@ -248,17 +246,15 @@ def activation_tensor(activation: ActivationSpec, in_degree: int, arity: int) ->
     issue = _family_issue(activation, in_degree, arity)
     if issue is not None:
         raise FamilyArityMismatch(issue[1])
-    p, n = in_degree, arity
-    if isinstance(activation, SourceVector):
-        return Tensor.vector(activation.entries)
-    if isinstance(activation, ExplicitActivation):
-        return Tensor((n,) * (p + 1), activation.entries)
+    shape = (arity,) * (in_degree + 1)
+    if isinstance(activation, _EntryList):
+        return Tensor(shape, activation.entries)
     a, b = activation.alpha, getattr(activation, "beta", _ZERO)  # ThresholdOne's beta is 0
     if isinstance(activation, JukesCantor):
-        return Tensor.from_function((n, n), lambda idx: a if idx[0] == idx[1] else b)
-    # Threshold families: state 1 means "fired", and a cell obeys the rule
-    # when the node fires exactly when some parent fired.
-    return Tensor.from_function((2,) * (p + 1), lambda idx: a if idx[-1] == any(idx[:-1]) else b)
+        return Tensor.from_function(shape, lambda idx: a if idx[0] == idx[1] else b)
+    # Threshold families (arity 2): state 1 means "fired", and a cell obeys the
+    # rule when the node fires exactly when some parent fired.
+    return Tensor.from_function(shape, lambda idx: a if idx[-1] == any(idx[:-1]) else b)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +582,8 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
 
     Evaluation at a point is a ring homomorphism, so either route's total of
     the result holds the symbolic total's cells evaluated.  Each distinct
-    entry with a parameter is evaluated once; constant entries are kept as
-    they are.  The result is None when:
+    entry with a parameter is evaluated once; constant entries, plain ints
+    and Fractions among them, are kept as they are.  The result is None when:
 
     * a binding is a float, since float products and sums do not associate;
     * an entry names a parameter with no binding, which the symbolic total
@@ -608,7 +604,8 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
         map_entries(node.activation, entries.append)
     if sum(map(len, node_entries)) >= spec.arity ** spec.node_count:
         return None
-    symbolic = {entry for entries in node_entries for entry in entries if entry.parameters()}
+    symbolic = {entry for entries in node_entries for entry in entries
+                if not isinstance(entry, (int, Fraction)) and entry.parameters()}
     if not symbolic or any(not entry.parameters() <= bindings.keys() for entry in symbolic):
         return None
     sizes = {name: _size_bits(value) for name, value in bindings.items()}

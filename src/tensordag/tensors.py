@@ -47,10 +47,14 @@ from itertools import accumulate, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, parse_expr
+from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
 
 #: Tensor shape: one positive dimension per axis.
 Shape = tuple[int, ...]
+
+#: Materializing a tensor with more cells than this is refused by default;
+#: an order-d network costs n**d cells per node tensor.
+DEFAULT_CELL_CAP = 2 ** 24
 
 
 class OrderMismatch(TensordagInputError):
@@ -122,6 +126,16 @@ class Permutation:
         return all(self.images[self.images[k]] == k for k in range(len(self.images)))
 
 
+def _checked(shape: Iterable[int]) -> Shape:
+    """``shape`` as a tuple, refused unless it has an axis and no dimension below 1."""
+    shape = tuple(shape)
+    if not shape:
+        raise ValueError("tensors have order >= 1")
+    if any(dim < 1 for dim in shape):
+        raise ValueError(f"all dimensions must be >= 1, got {shape}")
+    return shape
+
+
 def _strides(shape: Shape) -> tuple[int, ...]:
     return tuple(accumulate(shape[:0:-1], mul, initial=1))[::-1]
 
@@ -168,12 +182,8 @@ class Tensor:
     __slots__ = ("shape", "_base", "_strides", "_ties", "_cells")
 
     def __init__(self, shape: Iterable[int], cells: Iterable[PolyScalar | int | Fraction | str]):
-        shape = tuple(shape)
-        if not shape:
-            raise ValueError("tensors have order >= 1")
-        if any(dim < 1 for dim in shape):
-            raise ValueError(f"all dimensions must be >= 1, got {shape}")
-        cells = tuple(as_scalar(c) for c in cells)
+        shape = _checked(shape)
+        cells = tuple(map(as_scalar, cells))
         expected = math.prod(shape)
         if len(cells) != expected:
             raise ValueError(f"shape {shape} needs {expected} cells, got {len(cells)}")
@@ -236,41 +246,30 @@ class Tensor:
 
     @classmethod
     def from_nested(cls, nested) -> "Tensor":
-        """Build from nested sequences, e.g. ``[[1, 2], [3, 4]]`` for a matrix."""
+        """Build from nested sequences, e.g. ``[[1, 2], [3, 4]]`` for a matrix, read
+        level by level: each level's sequences must all be as long as its first."""
         shape: list[int] = []
-        level = nested
-        while isinstance(level, (list, tuple)):
-            shape.append(len(level))
-            level = level[0]
-
-        def flatten(node, depth: int):
-            if depth == len(shape):
-                yield node
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
+        level = [nested]
+        while level and isinstance(level[0], (list, tuple)):
+            shape.append(len(level[0]))
+            if any(not isinstance(node, (list, tuple)) or len(node) != shape[-1] for node in level):
                 raise ValueError("ragged nested structure")
-            for child in node:
-                yield from flatten(child, depth + 1)
-
-        return cls(tuple(shape), list(flatten(nested, 0)))
+            level = [child for node in level for child in node]
+        return cls(shape, level)
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         """All multi-indices in row-major order (last index fastest)."""
         return product(*(range(dim) for dim in self.shape))
 
-    def offset(self, idx: tuple[int, ...]) -> int:
-        """Bounds-checked position of ``idx`` in the base cells."""
+    def __getitem__(self, idx: tuple[int, ...]) -> PolyScalar:
+        """The cell at ``idx``, bounds-checked."""
         if len(idx) != len(self.shape):
             raise IndexError(f"index {idx} has {len(idx)} axes, tensor has {len(self.shape)}")
         flat = 0
-        for axis, (i, dim) in enumerate(zip(idx, self.shape)):
+        for axis, (i, dim, stride) in enumerate(zip(idx, self.shape, self._strides)):
             if not 0 <= i < dim:
                 raise IndexError(f"index {idx} out of range on axis {axis} (dim {dim})")
-            flat += i * self._strides[axis]
-        return flat
-
-    def __getitem__(self, idx: tuple[int, ...]) -> PolyScalar:
-        flat = self.offset(idx)
+            flat += i * stride
         if self._ties and any(idx[j] != idx[k] for j, k in self._ties):
             return _ZERO
         return self._base[flat]
@@ -304,6 +303,8 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
     Raises:
         OrderMismatch: some factor's order differs from the number of factors.
         ShapeMismatch: the contracted or shared dimensions are inconsistent.
+        TensordagInputError: the result would have more cells than both
+            ``DEFAULT_CELL_CAP`` and its largest factor; checked before the walk.
     """
     factors = list(factors)
     d = len(factors)
@@ -338,6 +339,10 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
         result_shape[axis] = expected
 
     result_shape = tuple(result_shape)
+    cells, cap = math.prod(result_shape), max(DEFAULT_CELL_CAP, *(t.ncells for t in factors))
+    if cells > cap:
+        raise TensordagInputError(
+            f"the product has {count_text(cells)} cells, above the cap of {cap}")
     return Tensor._view(result_shape, _walk(factors, contracted, result_shape, l))
 
 
@@ -438,10 +443,11 @@ def identitary(order: int, dim: int, j: int, k: int) -> Tensor:
 
     Raises:
         SlotOutOfRange: unless 0 <= j < k < order.
+        ValueError: ``dim`` is below 1.
     """
     if not (0 <= j < k < order):
         raise SlotOutOfRange(f"need 0 <= j < k < order, got j={j}, k={k}, order={order}")
-    return Tensor._view((dim,) * order, (_ONE,), (0,) * order, [(j, k)])
+    return Tensor._view(_checked((dim,) * order), (_ONE,), (0,) * order, [(j, k)])
 
 
 def sigma_transpose(t: Tensor, sigma: Permutation) -> Tensor:
@@ -487,6 +493,7 @@ def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -
             result order.
         CardinalityMismatch: ``new_dims`` is a sequence whose length differs
             from the number of positions.
+        ValueError: an inserted dimension is below 1.
     """
     positions = sorted(positions)
     if not positions:
@@ -497,22 +504,17 @@ def forget(t: Tensor, positions: Iterable[int], new_dims: int | Sequence[int]) -
     if positions[0] < 0 or positions[-1] >= result_order:
         raise PositionOutOfRange(
             f"positions {positions} not within 0..{result_order - 1}")
-    if isinstance(new_dims, int):
-        inserted_dims = [new_dims] * len(positions)
-    else:
-        inserted_dims = list(new_dims)
-        if len(inserted_dims) != len(positions):
-            raise CardinalityMismatch(
-                f"{len(positions)} positions but {len(inserted_dims)} inserted dimensions")
-    if any(dim < 1 for dim in inserted_dims):
-        raise ValueError(f"inserted dimensions must be >= 1, got {inserted_dims}")
+    inserted_dims = [new_dims] * len(positions) if isinstance(new_dims, int) else list(new_dims)
+    if len(inserted_dims) != len(positions):
+        raise CardinalityMismatch(
+            f"{len(positions)} positions but {len(inserted_dims)} inserted dimensions")
 
     inserted = dict(zip(positions, inserted_dims))
     source = iter(zip(t.shape, t._strides))
     shape, strides = zip(*((inserted[axis], 0) if axis in inserted else next(source)
                            for axis in range(result_order)))
     kept = [axis for axis in range(result_order) if axis not in inserted]
-    return Tensor._view(shape, t._base, strides, [(kept[j], kept[k]) for j, k in t._ties])
+    return Tensor._view(_checked(shape), t._base, strides, [(kept[j], kept[k]) for j, k in t._ties])
 
 
 def outer_product(vectors: Sequence[Tensor]) -> Tensor:

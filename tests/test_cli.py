@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import tensordag
-from tensordag import PolyScalar, Tensor, TensordagInputError, cli, netio, networks
+from tensordag import PolyScalar, Tensor, TensordagInputError, cli, netio, networks, tensors
 from tensordag.networks import VerificationResult
+from conftest import FIXTURES
 from test_bench_oracle import _load
 from test_networks import small_networks
 
@@ -433,6 +434,19 @@ class TestBmpCommand:
         assert result.err.count("\n") == 1
         assert result.err.startswith("error: ") and "too large to hold" in result.err
 
+    def test_a_product_above_the_cell_cap_is_refused(self, run_cli, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the walk ran on a product above the cap")
+
+        monkeypatch.setattr(tensors, "_walk", refuse)
+        column, row = tmp_path / "column.txt", tmp_path / "row.txt"
+        column.write_text("shape: 65536 x 1\n1,1 = 1\n")
+        row.write_text("shape: 1 x 65536\n1,1 = 1\n")
+        result = run_cli("bmp", str(column), str(row))
+        assert (result.code, result.out) == (2, "")
+        assert result.err == (f"error: the product has 4294967296 cells, above the cap of "
+                              f"{2 ** 24}\n")
+
 
 class TestFamilies:
     def test_list(self, run_cli):
@@ -581,6 +595,8 @@ HOSTILE_INPUTS = [
      ["validate"], False),
     ("empty-tensor-file", "", ["bmp"], False),
     ("non-integer-cell-index", "shape: 2 x 2\n1,x = 3\n", ["bmp"], False),
+    ("bmp-product-above-cap", "shape: 65536 x 1\n1,1 = 1\n",
+     ["bmp", str(FIXTURES / "row_65536.txt")], False),
 ]
 
 

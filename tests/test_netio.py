@@ -16,7 +16,8 @@ from tensordag import (AssignmentSyntaxError, DuplicateNodeId, EntryCountMismatc
                        activation_tensor, parse_network, parse_network_document,
                        parse_expr, parse_tensor, parse_assignment, serialize_network,
                        serialize_tensor, total_direct, validate)
-from tensordag import netio
+from tensordag import netio, tensors
+from tensordag.tensors import as_scalar
 from tensordag.networks import FAMILIES
 from golden import (ALPHA, BETA, chain_network, five_node_network, random_dag_network,
                     random_monomial, severed_chain_network, triangle_network)
@@ -218,6 +219,19 @@ class TestParseOncePerRead:
         assert parsed == Counter(set(self.TEXTS))
         assert parse_network(text) == first
         assert parsed == Counter(2 * list(set(self.TEXTS)))  # nothing is kept across calls
+
+    def test_parsed_cells_are_taken_as_they_are(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return as_scalar(value)
+
+        monkeypatch.setattr(tensors, "as_scalar", counting)
+        tensor = parse_tensor("shape: 300 x 300\n2,3 = alpha\n")
+        assert calls == []
+        assert tensor.shape == (300, 300) and tensor[(1, 2)] == ALPHA
+        assert sum(not cell.is_zero() for cell in tensor.cells) == 1
 
     def test_a_tensor_block_parses_each_cell_expression_once(self, parsed):
         block = "shape: 2 x 2\n1,1 = alpha*beta\n1,2 = 3\n2,1 = alpha*beta\n2,2 = alpha*beta\n"

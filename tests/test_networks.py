@@ -353,6 +353,12 @@ class TestTotals:
             node_tensors(spec, max_cells=31)
         assert total_direct(spec, max_cells=32).ncells == 32
 
+    def test_the_product_cap_never_refuses_total_bmp(self, monkeypatch):
+        # The node tensors have as many cells as the total, so the product's cap,
+        # the larger of the default and the largest factor, admits it.
+        monkeypatch.setattr(tensors, "DEFAULT_CELL_CAP", 2)
+        assert_matches_table(total_bmp(five_node_network()), FIVE_NODE_TOTAL)
+
     def test_invalid_network_propagates(self):
         spec = NetworkSpec(2, (NodeSpec("a", ("a",), JukesCantor(ALPHA, BETA)),))
         with pytest.raises(InvalidNetwork):
@@ -748,6 +754,20 @@ class TestEvaluatedNetwork:
                           (ALPHA, parse_expr("gamma")))
         assert networks.evaluated_network(spec, {"alpha": 2 ** 14}) is None
         assert networks.evaluated_network(spec, {"alpha": 2 ** 14, "gamma": 1}) is None
+
+    def test_plain_number_entries_are_constants(self):
+        spec = NetworkSpec(2, (
+            NodeSpec("b", (), SourceVector((1, BETA))),
+            *(NodeSpec(f"c{i}", (f"c{i - 1}" if i else "b",), JukesCantor(ALPHA, 2))
+              for i in range(4)),
+        ))
+        bindings = {"alpha": Fraction(1, 2), "beta": 2}
+        evaluated = networks.evaluated_network(spec, bindings)
+        assert evaluated is not None
+        assert evaluated.nodes[1].activation == JukesCantor(PolyScalar.constant(Fraction(1, 2)), 2)
+        expected = [PolyScalar.constant(cell.evaluate(bindings))
+                    for cell in total_direct(spec).cells]
+        assert list(total_direct(evaluated).cells) == expected
 
     def test_none_where_evaluating_first_saves_no_evaluation(self):
         bindings = {"alpha": 1, "beta": 2}

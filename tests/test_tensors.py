@@ -10,8 +10,8 @@ from hypothesis import given, settings
 
 from tensordag import (CardinalityMismatch, OrderMismatch, Permutation, PolyScalar,
                        PositionOutOfRange, ShapeMismatch, SlotOutOfRange, Tensor,
-                       blow, bmp, forget, identitary, outer_product, parse_expr,
-                       sigma_transpose, summand_ordered_bmp)
+                       TensordagInputError, blow, bmp, forget, identitary, outer_product,
+                       parse_expr, sigma_transpose, summand_ordered_bmp, tensors)
 from tensordag.scalars import _ONE, _ZERO
 from tensordag.tensors import _contract
 from golden import (ALPHA, BETA, CONFIRMED_PRODUCT_CELLS, COUNTING_CUBE_PRODUCT,
@@ -60,6 +60,17 @@ class TestTensorBasics:
         t = Tensor.from_nested([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
         assert t.shape == (2, 2, 2)
         assert t[(1, 0, 1)] == 6
+
+    @pytest.mark.parametrize("nested", [[], [[]], [[], []]])
+    def test_from_nested_refuses_an_empty_level(self, nested):
+        with pytest.raises(ValueError, match="all dimensions must be >= 1"):
+            Tensor.from_nested(nested)
+
+    @pytest.mark.parametrize("nested", [[[1, 2], [3]], [[1, 2], 3], ((1, 2), ()),
+                                        [[[1], [2]], [[3], 4]]])
+    def test_from_nested_refuses_ragged_input(self, nested):
+        with pytest.raises(ValueError, match="ragged nested structure"):
+            Tensor.from_nested(nested)
 
     def test_cells_accept_strings(self):
         t = Tensor.vector(["alpha", "2*beta"])
@@ -200,6 +211,28 @@ class TestProduct:
         error = info.value
         assert (error.arg, error.slot, error.expected, error.got) == (1, 0, 2, 3)
 
+    def test_a_product_above_the_cell_cap_is_refused_before_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the walk ran on a product above the cap")
+
+        monkeypatch.setattr(tensors, "_walk", refuse)
+        one = Tensor.vector([1])
+        column, row = forget(one, [0], 65536), forget(one, [1], 65536)  # 65536 x 1, 1 x 65536
+        with pytest.raises(TensordagInputError, match=f"4294967296 cells, above the cap of {2 ** 24}"):
+            bmp([column, row])
+
+    def test_the_cap_is_the_default_or_the_largest_factor(self, monkeypatch):
+        monkeypatch.setattr(tensors, "DEFAULT_CELL_CAP", 4)
+        rng = random.Random(5)
+        square = random_int_tensor(rng, (2, 2))
+        assert bmp([square, square]) == naive_matmul(square, square)  # 4 cells, at the default
+        cube = random_int_tensor(rng, (3, 3, 3))
+        assert bmp([cube] * 3).ncells == 27  # as many cells as the largest factor
+        column, row = random_int_tensor(rng, (3, 1)), random_int_tensor(rng, (1, 3))
+        with pytest.raises(TensordagInputError, match="9 cells, above the cap of 4"):
+            bmp([column, row])
+        assert bmp([row, column]).shape == (1, 1)
+
     def test_multilinearity_in_each_slot(self):
         rng = random.Random(17)
         for d in (2, 3):
@@ -249,6 +282,11 @@ class TestIdentitary:
         expected = sum(1 for idx in product(range(3), repeat=3) if idx[1] == idx[2])
         assert expected == 9
         assert sum(1 for c in t.cells if c == 1) == expected
+
+    @pytest.mark.parametrize("order, dim, j, k", [(2, 0, 0, 1), (3, -1, 0, 2)])
+    def test_dimension_below_one_rejected(self, order, dim, j, k):
+        with pytest.raises(ValueError, match="all dimensions must be >= 1"):
+            identitary(order, dim, j, k)
 
     def test_slot_validation(self):
         with pytest.raises(SlotOutOfRange):
@@ -431,6 +469,12 @@ class TestForget:
     def test_cardinality_mismatch(self):
         with pytest.raises(CardinalityMismatch):
             forget(Tensor.vector([1, 2]), [0, 1], [2])
+
+    def test_inserted_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            forget(Tensor.vector([1, 2]), [1], 0)
+        with pytest.raises(ValueError):
+            forget(Tensor.vector([1, 2]), [0, 2], [3, 0])
 
 
 class TestOuterProduct:
