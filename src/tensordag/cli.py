@@ -89,13 +89,10 @@ def cmd_node_tensors(args: argparse.Namespace) -> int:
 
 def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
     # Every cell is evaluated and formatted before printing, so an error prints nothing.
-    lines = ["shape: " + " x ".join(str(dim) for dim in tensor.shape)]
-    for key, cell in zip(netio.cell_keys(tensor.shape), tensor.cells):
-        value = cell.evaluate(bindings)
-        if value != 0:
-            text = repr(value) if isinstance(value, float) else exact_text(value)
-            lines.append(f"{key} = {text}")
-    print("\n".join(lines))
+    values = (cell.evaluate(bindings) for cell in tensor.cells)
+    texts = ["" if value == 0 else repr(value) if isinstance(value, float) else exact_text(value)
+             for value in values]
+    print(netio._tensor_text(tensor.shape, texts), end="")
 
 
 def cmd_total(args: argparse.Namespace) -> int:

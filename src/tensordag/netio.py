@@ -21,7 +21,7 @@ lists are stored sorted by position in the total ordering, which is also the
 axis order of their activation entries.  Unknown keys anywhere are rejected.
 
 Tensor text: a ``shape:`` header and one ``i,j,k = expr`` line per nonzero
-cell, row-major, with 1-based indices::
+cell, row-major; dimensions and 1-based indices are the grammar's ``uint``::
 
     shape: 2 x 2
     1,1 = alpha
@@ -41,11 +41,11 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
-from typing import Container, Iterator, Sequence, Union
+from typing import Container, Iterable, Iterator, Sequence, Union
 
 from .networks import FAMILIES, ActivationSpec, NetworkSpec, NodeSpec, entry_count, map_entries
-from .scalars import _NAME, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
-from .tensors import DEFAULT_CELL_CAP, ShapeMismatch, Tensor, _strides
+from .scalars import _NAME, _UINT, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
+from .tensors import DEFAULT_CELL_CAP, ShapeMismatch, Tensor, _checked, _strides
 
 
 class SchemaError(TensordagInputError):
@@ -228,7 +228,7 @@ def network_to_document(spec: NetworkSpec) -> dict:
         "arity": spec.arity,
         "nodes": [
             {"id": node.id, "parents": list(node.parents), "activation": {
-                "type": node.activation.kind, **map_entries(node.activation, str, list)}}
+                "type": node.activation.kind, **map_entries(node.activation, str)}}
             for node in spec.nodes
         ],
     }
@@ -255,13 +255,28 @@ def cell_keys(shape: Sequence[int]) -> Iterator[str]:
     return map(",".join, product(*([str(i) for i in range(1, dim + 1)] for dim in shape)))
 
 
+def _tensor_text(shape: Sequence[int], texts: Iterable[str]) -> str:
+    """A tensor block: the shape header, then ``key = text`` for each non-empty
+    text of ``texts``, one per cell in row-major order."""
+    lines = ["shape: " + " x ".join(map(str, shape))]
+    lines += [f"{key} = {text}" for key, text in zip(cell_keys(shape), texts) if text]
+    return "\n".join(lines) + "\n"
+
+
 def serialize_tensor(t: Tensor) -> str:
     """Text block for a tensor: shape header plus nonzero cells, 1-based."""
-    lines = ["shape: " + " x ".join(str(dim) for dim in t.shape)]
-    for key, cell in zip(cell_keys(t.shape), t.cells):
-        if not cell.is_zero():
-            lines.append(f"{key} = {cell}")
-    return "\n".join(lines) + "\n"
+    return _tensor_text(t.shape, ("" if cell.is_zero() else str(cell) for cell in t.cells))
+
+
+def _uints(text: str, sep: str, line_no: int, what: str) -> tuple[int, ...]:
+    """The ``sep``-separated grammar integers of ``text``, else a ``bad {what}`` error."""
+    parts = [part.strip() for part in text.split(sep)]
+    if all(map(_UINT.fullmatch, parts)):
+        try:
+            return tuple(map(int, parts))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise TensorSyntaxError(line_no, f"bad {what} {text.strip()!r}")
 
 
 def parse_tensor(text: str) -> Tensor:
@@ -274,24 +289,18 @@ def parse_tensor(text: str) -> Tensor:
             cells, with the 1-based line number.
         ShapeMismatch: a cell index falls outside the declared shape.
     """
-    lines = text.splitlines()
-    header_no = None
-    for line_no, line in enumerate(lines, start=1):
-        if line.strip():
-            header_no = line_no
-            break
-    if header_no is None:
+    lines = [(line_no, body) for line_no, line in enumerate(text.splitlines(), start=1)
+             if (body := line.strip())]
+    if not lines:
         raise TensorSyntaxError(1, "missing 'shape:' header")
-    header = lines[header_no - 1].strip()
+    header_no, header = lines[0]
     if not header.startswith("shape:"):
         raise TensorSyntaxError(header_no, f"expected 'shape: d1 x d2 x ...', got {header!r}")
-    dim_text = header[len("shape:"):]
+    shape = _uints(header[len("shape:"):], "x", header_no, "shape")
     try:
-        shape = tuple(int(part.strip()) for part in dim_text.split("x"))
-    except ValueError:
-        raise TensorSyntaxError(header_no, f"bad shape {dim_text.strip()!r}") from None
-    if not shape or any(dim < 1 for dim in shape):
-        raise TensorSyntaxError(header_no, f"dimensions must be positive, got {shape}")
+        shape = _checked(shape)
+    except ValueError as err:
+        raise TensorSyntaxError(header_no, str(err)) from None
 
     ncells = 1
     for dim in shape:  # checked per axis, so a long header of huge dimensions stays cheap
@@ -303,17 +312,11 @@ def parse_tensor(text: str) -> Tensor:
     parsed = _Parsed()
     strides = _strides(shape)
 
-    for line_no, line in enumerate(lines[header_no:], start=header_no + 1):
-        body = line.strip()
-        if not body:
-            continue
-        if "=" not in body:
+    for line_no, body in lines[1:]:
+        left, sep, right = body.partition("=")
+        if not sep:
             raise TensorSyntaxError(line_no, f"expected 'i,j,... = expr', got {body!r}")
-        left, _, right = body.partition("=")
-        try:
-            idx = tuple(int(part.strip()) for part in left.split(","))
-        except ValueError:
-            raise TensorSyntaxError(line_no, f"bad cell index {left.strip()!r}") from None
+        idx = _uints(left, ",", line_no, "cell index")
         if len(idx) != len(shape):
             raise TensorSyntaxError(
                 line_no, f"index {idx} has {len(idx)} axes, shape has {len(shape)}")

@@ -566,11 +566,11 @@ def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
 
 
-def map_entries(activation: ActivationSpec, function: Callable[[PolyScalar], object],
-                listed: Callable[[Iterable], object] = tuple) -> dict[str, object]:
+def map_entries(activation: ActivationSpec,
+                function: Callable[[PolyScalar], object]) -> dict[str, object]:
     """Each field of ``activation`` by name, with ``function`` applied to its
-    entry; a tuple field lists entries, and holds ``listed`` of their images."""
-    return {field.name: (listed(map(function, value)) if isinstance(value, tuple)
+    entry; a tuple field lists entries, and holds the list of their images."""
+    return {field.name: (list(map(function, value)) if isinstance(value, tuple)
                          else function(value))
             for field in fields(activation) for value in [getattr(activation, field.name)]}
 

@@ -227,6 +227,15 @@ class TestTotal:
         assert fuzzy.code == 0
         assert "= 0.125" in fuzzy.out
 
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    @pytest.mark.parametrize("alpha", ["0.0", "-0.0"])
+    def test_assign_skips_float_zero_cells(self, run_cli, fixtures_dir, method, alpha):
+        # beta^5 is the one cell without alpha; 0.0 and -0.0 cells are not printed
+        result = run_cli("total", str(fixtures_dir / "five_node.json"),
+                         "--method", method, "--assign", f"alpha={alpha},beta=0.5")
+        assert (result.code, result.err) == (0, "")
+        assert result.out == "shape: 2 x 2 x 2 x 2 x 2\n2,1,1,2,1 = 0.03125\n"
+
     def test_assign_requires_all_parameters(self, run_cli, fixtures_dir):
         result = run_cli("total", str(fixtures_dir / "chain.json"),
                          "--method", "direct", "--assign", "alpha=1")
@@ -434,6 +443,14 @@ class TestBmpCommand:
         assert result.err.count("\n") == 1
         assert result.err.startswith("error: ") and "too large to hold" in result.err
 
+    def test_a_dimension_outside_the_grammar_is_refused(self, run_cli, tmp_path):
+        left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+        left.write_text("shape: 1_0 x 2\n")
+        right.write_text("shape: 2 x 1\n")
+        result = run_cli("bmp", str(left), str(right))
+        assert (result.code, result.out) == (2, "")
+        assert result.err == "error: line 1: bad shape '1_0 x 2'\n"
+
     def test_a_product_above_the_cell_cap_is_refused(self, run_cli, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("the walk ran on a product above the cap")
@@ -597,6 +614,10 @@ HOSTILE_INPUTS = [
     ("non-integer-cell-index", "shape: 2 x 2\n1,x = 3\n", ["bmp"], False),
     ("bmp-product-above-cap", "shape: 65536 x 1\n1,1 = 1\n",
      ["bmp", str(FIXTURES / "row_65536.txt")], False),
+    ("tensor-dimension-with-underscore", "shape: 1_0 x 2\n1,1 = a\n",
+     ["bmp", str(FIXTURES / "mat_a.txt")], False),
+    ("tensor-cell-index-with-sign", "shape: 2 x 2\n+1,1 = b\n",
+     ["bmp", str(FIXTURES / "mat_a.txt")], False),
 ]
 
 

@@ -331,6 +331,30 @@ class TestTensorText:
         with pytest.raises(TensorSyntaxError):
             parse_tensor("shape: 2 x 0\n")
 
+    def test_a_zero_dimension_is_refused_by_the_shape_rule(self):
+        with pytest.raises(TensorSyntaxError, match="all dimensions must be >= 1") as info:
+            parse_tensor("\nshape: 2 x 0\n")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("shape: 1_0 x 2\n", 1),
+        ("shape: +2 x 2\n", 1),
+        ("shape: 2 x " + "1" * 5000 + "\n", 1),  # more digits than int() converts
+        ("shape: 2 x 2\n+1,1 = a\n", 2),
+        ("shape: 2 x 2\n1,1 = a\n\n1_0,1 = a\n", 4),
+        ("shape: 2 x 2\n1," + "0" * 4999 + "1 = a\n", 2),
+    ])
+    def test_integers_are_those_of_the_expression_grammar(self, text, line):
+        with pytest.raises(TensorSyntaxError, match="bad (shape|cell index)") as info:
+            parse_tensor(text)
+        assert info.value.line == line
+
+    def test_integers_of_any_script_and_padded_indices_are_read(self):
+        assert parse_tensor("shape: \u0663 x 2\n\u0663,1 = a\n") == Tensor(
+            (3, 2), [0, 0, 0, 0, parse_expr("a"), 0])
+        assert parse_tensor("shape: 2 x 2\n 1 , 2 = a\n") == Tensor(
+            (2, 2), [0, parse_expr("a"), 0, 0])
+
     def test_shape_above_the_cell_cap(self):
         with pytest.raises(TensorSyntaxError):
             parse_tensor("shape: 4097 x 4096\n")
@@ -346,6 +370,11 @@ class TestTensorText:
     def test_duplicate_cell(self):
         with pytest.raises(TensorSyntaxError):
             parse_tensor("shape: 2\n1 = alpha\n1 = beta\n")
+
+    def test_a_cell_assigned_zero_then_again_is_a_duplicate(self):
+        with pytest.raises(TensorSyntaxError, match="cell 1 assigned twice") as info:
+            parse_tensor("shape: 2\n1 = 0*a\n1 = b\n")
+        assert info.value.line == 3
 
     def test_bad_expression_reports_line(self):
         with pytest.raises(TensorSyntaxError) as info:
