@@ -30,12 +30,6 @@ def _read_network(path: str) -> networks.NetworkSpec:
     return netio.parse_network(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_valid_network(path: str) -> networks.NetworkSpec:
-    spec = _read_network(path)
-    networks.ensure_valid(spec)
-    return spec
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _read_network(args.file)
     violations = networks.validate(spec)
@@ -63,7 +57,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_node_tensors(args: argparse.Namespace) -> int:
-    spec = _read_valid_network(args.file)
+    spec = _read_network(args.file)
     ids = spec.node_ids()
     if args.node is not None:
         if args.node not in ids:
@@ -96,7 +90,7 @@ def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
 
 
 def cmd_total(args: argparse.Namespace) -> int:
-    spec = _read_valid_network(args.file)
+    spec = _read_network(args.file)
     if args.method == "verify":
         if args.assign is not None:
             raise netio.AssignmentSyntaxError(

@@ -30,14 +30,15 @@ cell, row-major; dimensions and 1-based indices are the grammar's ``uint``::
 Missing cells read back as zero, so mostly-zero blow/forget outputs stay
 readable.  ``parse_tensor(serialize_tensor(t)) == t`` exactly.
 
-Assignments: ``name=value`` pairs separated by commas, values either exact
-rationals (``2``, ``-1/3``) or decimals (``0.25``, parsed as binary64).
+Assignments: ``name=value`` pairs separated by commas; a value is exact (``2``,
+``-1/3``) or a decimal (``.5``, ``1E-3``, read as binary64), in the grammar's digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -367,17 +368,21 @@ def parse_assignment(text: str) -> dict[str, Number]:
     return bindings
 
 
+#: ``N`` or ``N/M`` (each an optional ``-`` and a grammar uint), or a decimal.
+_VALUE = re.compile(r"(?P<num>-?{u})(\s*/\s*(?P<den>-?{u}))?"
+                    r"|-?({u}(\.({u})?)?|\.{u})([eE][-+]?{u})?".format(u=_UINT.pattern))
+
+
 def _parse_number(raw: str) -> Number:
+    if not (match := _VALUE.fullmatch(raw)):
+        raise AssignmentSyntaxError(f"bad value {raw!r}: expected N, N/M or a decimal")
     try:
-        if "." in raw or "e" in raw or "E" in raw:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise OverflowError("outside the float range")
-            return value
-        if "/" in raw:
-            num, _, den = raw.partition("/")
-            return Fraction(int(num.strip()), int(den.strip()))
-        return int(raw)
+        if match["num"]:
+            return Fraction(int(match["num"]), int(match["den"])) if match["den"] else int(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise OverflowError("outside the float range")
+        return value
     except ZeroDivisionError:
         raise AssignmentSyntaxError(f"bad value {raw!r}: zero denominator") from None
     except (ValueError, OverflowError) as err:

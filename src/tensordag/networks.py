@@ -602,7 +602,9 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
     node_entries: list[list[PolyScalar]] = [[] for _ in spec.nodes]
     for node, entries in zip(spec.nodes, node_entries):
         map_entries(node.activation, entries.append)
-    if sum(map(len, node_entries)) >= spec.arity ** spec.node_count:
+    # The spec is not validated yet: the power is taken only once arity <= total.
+    total = sum(map(len, node_entries))
+    if total >= spec.arity and total >= spec.arity ** spec.node_count:
         return None
     symbolic = {entry for entries in node_entries for entry in entries
                 if not isinstance(entry, (int, Fraction)) and entry.parameters()}

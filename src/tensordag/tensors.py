@@ -87,10 +87,8 @@ class CardinalityMismatch(TensordagInputError):
 
 def as_scalar(value: PolyScalar | int | Fraction | str) -> PolyScalar:
     """Coerce a cell value: ints/Fractions become constants, strings are parsed."""
-    if isinstance(value, PolyScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return PolyScalar.constant(value)
+    if (scalar := PolyScalar._coerce(value)) is not None:
+        return scalar
     if isinstance(value, str):
         return parse_expr(value)
     raise TypeError(f"cannot use {type(value).__name__} as a tensor cell")

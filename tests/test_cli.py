@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -278,6 +279,63 @@ class TestTotal:
                          "--max-cells", "31", "--assign", "alpha=")
         assert (result.code, result.out) == (2, "")
         assert result.err == "error: expected 'name=value', got 'alpha='\n"
+
+
+class TestOneNetworkCheck:
+    """``PreparedNetwork`` is the one validity check: the command line adds none."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["total", "--method", "direct"], 1),
+        (["total", "--method", "bmp"], 1),
+        (["total", "--method", "direct", "--assign", "alpha=1/2,beta=1/3"], 1),
+        (["total", "--method", "verify"], 2),
+        (["node-tensors"], 1),
+    ], ids=["direct", "bmp", "direct-assign", "verify", "node-tensors"])
+    def test_each_command_validates_once_per_prepared_network(self, run_cli, fixtures_dir,
+                                                              monkeypatch, argv, calls):
+        seen = []
+        validate = networks.validate
+
+        def counting(spec):
+            seen.append(spec)
+            return validate(spec)
+
+        monkeypatch.setattr(networks, "validate", counting)
+        result = run_cli(argv[0], str(fixtures_dir / "five_node.json"), *argv[1:])
+        assert result.code == 0
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("argv, message", [
+        (["total", "--method", "direct", "--assign", "alpha=1_0,beta=1"],
+         "bad value '1_0': expected N, N/M or a decimal"),
+        (["total", "--method", "verify", "--assign", "alpha=1,beta=1"],
+         "verify compares the exact symbolic tensors; --assign is not allowed"),
+        (["node-tensors", "--node", "zz"], "unknown node id 'zz'"),
+    ], ids=["bad-assign-value", "verify-assign", "unknown-node"])
+    def test_a_command_line_error_is_reported_before_the_invalid_network(
+            self, run_cli, fixtures_dir, argv, message):
+        result = run_cli(argv[0], str(fixtures_dir / "cyclic.json"), *argv[1:])
+        assert (result.code, result.out, result.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_good_bindings_on_an_invalid_network_report_the_violation(self, run_cli,
+                                                                      fixtures_dir, method):
+        result = run_cli("total", str(fixtures_dir / "cyclic.json"), "--method", method,
+                         "--assign", "alpha=1/2,beta=1/3")
+        assert (result.code, result.out) == (2, "")
+        assert result.err.startswith("error: invalid network: OrderingIncompatible")
+
+    def test_an_unvalidated_arity_is_not_raised_to_the_node_count(self, run_cli, tmp_path):
+        # (10**4000)**4000 has 16 million digits; the arity's violation is reported at once.
+        path = tmp_path / "huge-arity.json"
+        path.write_text(json.dumps({"arity": 10 ** 4000, "nodes": [
+            {"id": f"t{i}", "activation": {"type": "threshold_one", "alpha": "alpha"}}
+            for i in range(4000)]}))
+        start = time.perf_counter()
+        result = run_cli("total", str(path), "--method", "direct", "--assign", "alpha=1")
+        assert time.perf_counter() - start < 5
+        assert (result.code, result.out) == (2, "")
+        assert result.err.startswith("error: invalid network: FamilyArityMismatch (node 't0')")
 
 
 #: Exact binding values: integers, fractions, negatives and zero, and the
@@ -618,6 +676,10 @@ HOSTILE_INPUTS = [
      ["bmp", str(FIXTURES / "mat_a.txt")], False),
     ("tensor-cell-index-with-sign", "shape: 2 x 2\n+1,1 = b\n",
      ["bmp", str(FIXTURES / "mat_a.txt")], False),
+    ("assign-value-with-underscore", _source_document("alpha"),
+     ["total", "--method", "direct", "--assign", "alpha=1_0"], False),
+    ("assign-value-with-plus-sign", _source_document("alpha"),
+     ["total", "--method", "direct", "--assign", "alpha=+3"], False),
 ]
 
 

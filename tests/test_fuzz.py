@@ -5,6 +5,7 @@ and the command line exits 0 or 2, never with a traceback or the "routes differ"
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -57,6 +58,23 @@ def test_a_tensor_block_with_and_without_a_header(text):
 def test_a_network_document_and_an_entry_of_one(text):
     _returns_or_refuses(parse_network, text)
     _returns_or_refuses(parse_network, _two_node_document(text))
+
+
+#: Digits (one of them Arabic-Indic), signs, and the decimal and separator
+#: characters that ``int()`` and ``float()`` read but the grammar does not.
+numbers = st.text(alphabet="0123456789٣-+/.e_ ", max_size=12)
+
+
+@FUZZ
+@given(numbers)
+def test_an_exact_assignment_value_is_the_grammars_rational_literal(text):
+    try:
+        value = parse_assignment("x=" + text)["x"]
+    except TensordagInputError:
+        return
+    # A signed denominator is the one exact value the grammar spells differently.
+    if isinstance(value, (int, Fraction)) and "-" not in text.partition("/")[2]:
+        assert parse_expr(text).evaluate({}) == value
 
 
 def test_the_fuzzed_document_is_valid_around_its_entry():

@@ -413,6 +413,34 @@ class TestAssignments:
             parse_assignment(f"x={value}")
         assert str(error.value) == f"bad value {value!r}: zero denominator"
 
+    @pytest.mark.parametrize("value, expected", [
+        ("-2/3", Fraction(-2, 3)), (" 1 / 2 ", Fraction(1, 2)), ("\u0663", 3),
+        ("1/-2", Fraction(-1, 2)), ("-0", 0), (".5", 0.5), ("5.", 5.0), ("1E-3", 0.001),
+        ("-1.5e+2", -150.0), ("\u0663.5", 3.5)])
+    def test_values_in_the_grammar_digits(self, value, expected):
+        bound = parse_assignment(f"x={value}")["x"]
+        assert bound == expected
+        assert type(bound) is type(expected)
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", "1_0.5", "1/+2", "1e1_0", "one", "1/2/3",
+                                       "inf", "nan", "-", ".", "e5", "1.5e", "- 2", "0x10",
+                                       "\u00b2", "1.2.3"])
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(AssignmentSyntaxError) as error:
+            parse_assignment(f"x={value}")
+        assert str(error.value) == f"bad value {value!r}: expected N, N/M or a decimal"
+
+    def test_a_float_overflow_keeps_its_message(self):
+        with pytest.raises(AssignmentSyntaxError) as error:
+            parse_assignment("x=1e999")
+        assert str(error.value) == "bad value '1e999': outside the float range"
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "1/" + "1" * 5000])
+    def test_an_integer_too_long_to_convert_keeps_its_message(self, value):
+        with pytest.raises(AssignmentSyntaxError) as error:
+            parse_assignment(f"x={value}")
+        assert str(error.value).startswith(f"bad value {value!r}: Exceeds the limit")
+
     @pytest.mark.parametrize("text", ["a\u00b2=2", "\u03b1=1"])
     def test_names_are_those_of_the_expression_grammar(self, text):
         with pytest.raises(AssignmentSyntaxError, match="bad parameter name"):
