@@ -8,8 +8,8 @@ node-tensor product route must reproduce the direct computation exactly.
 """
 
 from tensordag import (JukesCantor, NetworkSpec, NodeSpec, PolyScalar,
-                       SourceVector, node_pipeline, serialize_tensor,
-                       total_bmp, total_direct, verify_totals)
+                       PreparedNetwork, SourceVector, node_pipeline,
+                       serialize_tensor, total_bmp, total_direct, verify_totals)
 
 alpha = PolyScalar.parameter("alpha")
 beta = PolyScalar.parameter("beta")
@@ -21,8 +21,9 @@ chain = NetworkSpec(2, (
 ))
 
 print("# the expansion pipeline, node by node")
+prepared = PreparedNetwork(chain)  # validated, and its activations built, once for every route
 for i, node in enumerate(chain.nodes):
-    stages = node_pipeline(chain, i)
+    stages = node_pipeline(prepared, i)
     print(f"node {node.id}: activation order {stages.activation.order} "
           f"-> widened order {stages.widened.order}"
           + (f" -> blown order {stages.blown.order}" if stages.blown else " (sink: no blow)")
@@ -30,15 +31,15 @@ for i, node in enumerate(chain.nodes):
 
 print()
 print("# node tensor of the source: the blown vector padded to order 3")
-print(serialize_tensor(node_pipeline(chain, 0).node_tensor))
+print(serialize_tensor(node_pipeline(prepared, 0).node_tensor))
 
 print("# total tensor, direct route (cell = product of activation entries)")
-direct = total_direct(chain)
+direct = total_direct(prepared)
 print(serialize_tensor(direct))
 
 print("# total tensor, product route (one contraction of the node tensors)")
-print("equal to the direct route?", total_bmp(chain) == direct)
-outcome = verify_totals(chain)
+print("equal to the direct route?", total_bmp(prepared) == direct)
+outcome = verify_totals(prepared)
 print(f"verify_totals: equal={outcome.equal} over {outcome.cells} cells")
 
 print()

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import networks, netio
-from .scalars import TensordagInputError, exact_text
+from .scalars import _UINT, TensordagInputError, exact_text
 from .tensors import Tensor, bmp
 
 def _read_network(path: str) -> networks.NetworkSpec:
@@ -32,12 +33,12 @@ def _read_network(path: str) -> networks.NetworkSpec:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _read_network(args.file)
-    violations = networks.validate(spec)
-    if violations:
-        for violation in violations:
-            print(violation)
+    try:
+        checks = (networks.stochastic_report(spec) if args.check_stochastic
+                  else networks.ensure_valid(spec) or [])
+    except networks.InvalidNetwork as err:
+        print(*err.violations, sep="\n")
         return 2
-    checks = networks.stochastic_report(spec) if args.check_stochastic else []
     print("valid")
     for check in checks:
         if check.stochastic:
@@ -59,16 +60,13 @@ def cmd_order(args: argparse.Namespace) -> int:
 def cmd_node_tensors(args: argparse.Namespace) -> int:
     spec = _read_network(args.file)
     ids = spec.node_ids()
-    if args.node is not None:
-        if args.node not in ids:
-            raise netio.UnknownNodeId(args.node)
-        selected = [ids.index(args.node)]
-    else:
-        selected = list(range(len(ids)))
+    if args.node is not None and args.node not in ids:
+        raise netio.UnknownNodeId(args.node)
+    selected = range(len(ids)) if args.node is None else [ids.index(args.node)]
     prepared = networks.PreparedNetwork(spec, args.max_cells)
     blocks: list[str] = []
     for i in selected:
-        pipeline = networks._pipeline(prepared, i)
+        pipeline = networks.node_pipeline(prepared, i)
         if args.stages:
             blocks.append(f"node {ids[i]} stage widened\n" + netio.serialize_tensor(pipeline.widened))
             if pipeline.blown is not None:
@@ -131,6 +129,13 @@ def cmd_families(args: argparse.Namespace) -> int:
     return 0
 
 
+def _max_cells(raw: str) -> int:
+    if _UINT.fullmatch(raw.strip()):
+        with suppress(ValueError):  # more digits than int() converts
+            return int(raw)
+    raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensordag",
@@ -154,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", help="only this node id")
     p.add_argument("--stages", action="store_true",
                    help="also print the widened and blown intermediate stages")
-    p.add_argument("--max-cells", type=int, default=networks.DEFAULT_CELL_CAP,
+    p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
                    help="refuse tensors with more cells than this")
     p.set_defaults(run=cmd_node_tensors)
 
@@ -162,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", required=True, choices=("direct", "bmp", "verify"))
     p.add_argument("--assign", help="evaluate numerically, e.g. alpha=1,beta=1/2")
-    p.add_argument("--max-cells", type=int, default=networks.DEFAULT_CELL_CAP,
+    p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
                    help="refuse tensors with more cells than this")
     p.set_defaults(run=cmd_total)
 

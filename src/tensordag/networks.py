@@ -408,22 +408,19 @@ class PreparedNetwork:
     against them.
 
     The cell cap is checked after validation and before any activation is
-    built: ``max_cells`` bounds the order-d tensors, and so every activation,
-    which has at most n**d cells; without it, ``DEFAULT_CELL_CAP`` bounds the
-    largest activation, of n**(p+1) cells.
+    built: ``max_cells`` bounds the n**d cells of the order-d tensors, and so
+    every activation.  A route given a prepared network therefore makes
+    n**d cells only under the cap it was prepared with.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
-        CellCapExceeded: a tensor so bounded would exceed its cap.
+        CellCapExceeded: an order-d tensor would exceed ``max_cells``.
     """
 
-    def __init__(self, spec: NetworkSpec, max_cells: int | None = None):
+    def __init__(self, spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP):
         ensure_valid(spec)
-        cap = DEFAULT_CELL_CAP if max_cells is None else max_cells
-        order = spec.node_count if max_cells is not None else 1 + max(
-            len(node.parents) for node in spec.nodes)
-        if spec.arity ** order > cap:
-            raise CellCapExceeded(order, spec.arity, cap)
+        if spec.arity ** spec.node_count > max_cells:
+            raise CellCapExceeded(spec.node_count, spec.arity, max_cells)
         self.arity = spec.arity
         self.d = spec.node_count
         self.position = {node.id: i for i, node in enumerate(spec.nodes)}
@@ -462,47 +459,49 @@ class PreparedNetwork:
                            for h in range(self.arity)] for m in range(self.d)])
 
 
-def node_pipeline(spec: NetworkSpec, index: int,
+def _prepared(network: NetworkSpec | PreparedNetwork, max_cells: int) -> PreparedNetwork:
+    """``network`` as it is if prepared already, else the spec prepared under ``max_cells``."""
+    return network if isinstance(network, PreparedNetwork) else PreparedNetwork(network, max_cells)
+
+
+def node_pipeline(network: NetworkSpec | PreparedNetwork, index: int,
                   max_cells: int = DEFAULT_CELL_CAP) -> NodePipeline:
     """Run the expansion pipeline for the node at ``index`` (0-based).
 
     Stage order: widen the activation over all earlier nodes' axes, blow a
     feedback axis (skipped for the sink), then pad with the remaining axes
-    up to order d.
+    up to order d.  ``max_cells`` applies only to a spec.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
         CellCapExceeded: the order-d node tensor would exceed ``max_cells``.
         IndexError: ``index`` is out of range.
     """
-    prepared = PreparedNetwork(spec, max_cells)
-    if not 0 <= index < prepared.d:
-        raise IndexError(f"node index {index} out of range for {prepared.d} nodes")
-    return _pipeline(prepared, index)
-
-
-def _pipeline(prepared: PreparedNetwork, i: int) -> NodePipeline:
+    prepared = _prepared(network, max_cells)
     n, d = prepared.arity, prepared.d
-    activation = prepared.activations[i]
-    inserted = sorted(set(range(i)) - set(prepared.parent_positions[i]))
+    if not 0 <= index < d:
+        raise IndexError(f"node index {index} out of range for {d} nodes")
+    activation = prepared.activations[index]
+    inserted = sorted(set(range(index)) - set(prepared.parent_positions[index]))
     widened = forget(activation, inserted, n)
-    if i == d - 1:
-        return NodePipeline(i, activation, widened, None, widened)
+    if index == d - 1:
+        return NodePipeline(index, activation, widened, None, widened)
     blown = blow(widened)
-    full = forget(blown, range(i + 2, d), n)
-    return NodePipeline(i, activation, widened, blown, full)
+    return NodePipeline(index, activation, widened, blown, forget(blown, range(index + 2, d), n))
 
 
-def node_tensors(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> list[Tensor]:
-    """All order-d node tensors B_0..B_{d-1} in node order."""
-    prepared = PreparedNetwork(spec, max_cells)
-    return [_pipeline(prepared, i).node_tensor for i in range(prepared.d)]
+def node_tensors(network: NetworkSpec | PreparedNetwork,
+                 max_cells: int = DEFAULT_CELL_CAP) -> list[Tensor]:
+    """All order-d node tensors B_0..B_{d-1}; ``max_cells`` applies only to a spec."""
+    prepared = _prepared(network, max_cells)
+    return [node_pipeline(prepared, i).node_tensor for i in range(prepared.d)]
 
 
-def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
+def total_direct(network: NetworkSpec | PreparedNetwork,
+                 max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     """Total tensor by the direct definition: per cell, multiply the matching
     activation entry of every node.  This is the oracle the product route is
-    verified against.
+    verified against.  ``max_cells`` applies only to a spec.
 
     Every activation entry is read once per call, through the bounds-checked
     ``Tensor[...]``, into its node's row-major entry row (:func:`_entry_rows`).
@@ -516,7 +515,7 @@ def total_direct(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor
     cells without a multiply.  The walk keeps one state, one offset and one
     prefix per node and emits cells row-major.
     """
-    prepared = PreparedNetwork(spec, max_cells)
+    prepared = _prepared(network, max_cells)
     n, d = prepared.arity, prepared.d
     rows = _entry_rows(prepared)
     parents = prepared.parent_positions
@@ -555,14 +554,14 @@ def _entry_rows(prepared: PreparedNetwork) -> list[tuple[PolyScalar, ...]]:
     return [tuple(tensor[idx] for idx in tensor.indices()) for tensor in prepared.activations]
 
 
-def total_bmp(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
+def total_bmp(network: NetworkSpec | PreparedNetwork, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
     """Total tensor via node tensors and one Bhattacharya-Mesner product.
 
     The factors enter in summand order with the sink's node tensor first,
     i.e. ``P(B_{d-1}, B_0, ..., B_{d-2})``; a single-node network returns its
-    activation vector unchanged.
+    activation vector unchanged.  ``max_cells`` applies only to a spec.
     """
-    bs = node_tensors(spec, max_cells)
+    bs = node_tensors(network, max_cells)
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
 
 
@@ -640,20 +639,21 @@ class StochasticCheck:
 
 
 def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
-    """Check every activation's output marginal, in node order; an activation
-    of more than ``DEFAULT_CELL_CAP`` cells raises :class:`CellCapExceeded`."""
-    prepared = PreparedNetwork(spec)
-    n = spec.arity
+    """Check every activation's output marginal, in node order; a spec with
+    violations raises :class:`InvalidNetwork`, and one with an activation of
+    more than ``DEFAULT_CELL_CAP`` cells :class:`CellCapExceeded`."""
+    ensure_valid(spec)
+    n, order = spec.arity, 1 + max(len(node.parents) for node in spec.nodes)
+    if n ** order > DEFAULT_CELL_CAP:
+        raise CellCapExceeded(order, n, DEFAULT_CELL_CAP)
     reports = []
-    for node, tensor in zip(spec.nodes, prepared.activations):
+    for node in spec.nodes:
+        tensor = activation_tensor(node.activation, len(node.parents), n)
         # The output axis is last, so each input combination's n cells are adjacent.
         combos = product(range(n), repeat=tensor.order - 1)
         marginals = (sum(tensor.cells[k:k + n], _ZERO) for k in range(0, tensor.ncells, n))
         failing = next(((combo, m) for combo, m in zip(combos, marginals) if m != _ONE), None)
-        if failing is None:
-            reports.append(StochasticCheck(node.id, True))
-        else:
-            reports.append(StochasticCheck(node.id, False, *failing))
+        reports.append(StochasticCheck(node.id, failing is None, *(failing or ())))
     return reports
 
 
@@ -666,14 +666,14 @@ class VerificationResult:
     first_difference: tuple[tuple[int, ...], PolyScalar, PolyScalar] | None = None
 
 
-def verify_totals(spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP) -> VerificationResult:
-    """Compute both totals and compare exactly, reporting the first mismatch.
-
-    Cells are compared in row-major index order, so the reported first
-    difference is deterministic.
-    """
-    via_product = total_bmp(spec, max_cells)
-    direct = total_direct(spec, max_cells)
+def verify_totals(network: NetworkSpec | PreparedNetwork,
+                  max_cells: int = DEFAULT_CELL_CAP) -> VerificationResult:
+    """Compute both totals from one preparation (``max_cells`` applies only
+    to a spec) and compare them exactly, reporting the first mismatch in
+    row-major index order."""
+    prepared = _prepared(network, max_cells)
+    via_product = total_bmp(prepared)
+    direct = total_direct(prepared)
     if direct == via_product:
         return VerificationResult(True, direct.ncells)
     cells = zip(direct.indices(), direct.cells, via_product.cells)

@@ -3,7 +3,7 @@
 import io
 import json
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -281,6 +281,26 @@ class TestTotal:
         assert result.err == "error: expected 'name=value', got 'alpha='\n"
 
 
+class TestMaxCellsDigits:
+    """``--max-cells`` is written in the expression grammar's digits."""
+
+    @pytest.mark.parametrize("raw, cap", [("32", 32), (" 32", 32), ("\u0663", 3), ("0", 0)])
+    def test_grammar_digits_are_a_cap(self, raw, cap):
+        args = cli.build_parser().parse_args(["total", "x.json", "--method", "direct",
+                                              "--max-cells", raw])
+        assert args.max_cells == cap
+
+    @pytest.mark.parametrize("raw", ["1_0", "+32", "-1", "abc", "9" * 5000],
+                             ids=["underscore", "plus", "negative", "word", "5000-digits"])
+    def test_other_text_is_a_usage_error(self, fixtures_dir, raw):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+            cli.main(["total", str(fixtures_dir / "five_node.json"), "--method", "direct",
+                      "--max-cells", raw])
+        assert (info.value.code, out.getvalue()) == (2, "")
+        assert err.getvalue().endswith(f"argument --max-cells: invalid int value: {raw!r}\n")
+
+
 class TestOneNetworkCheck:
     """``PreparedNetwork`` is the one validity check: the command line adds none."""
 
@@ -288,9 +308,10 @@ class TestOneNetworkCheck:
         (["total", "--method", "direct"], 1),
         (["total", "--method", "bmp"], 1),
         (["total", "--method", "direct", "--assign", "alpha=1/2,beta=1/3"], 1),
-        (["total", "--method", "verify"], 2),
+        (["total", "--method", "verify"], 1),
         (["node-tensors"], 1),
-    ], ids=["direct", "bmp", "direct-assign", "verify", "node-tensors"])
+        (["validate", "--check-stochastic"], 1),
+    ], ids=["direct", "bmp", "direct-assign", "verify", "node-tensors", "check-stochastic"])
     def test_each_command_validates_once_per_prepared_network(self, run_cli, fixtures_dir,
                                                               monkeypatch, argv, calls):
         seen = []
@@ -304,6 +325,19 @@ class TestOneNetworkCheck:
         result = run_cli(argv[0], str(fixtures_dir / "five_node.json"), *argv[1:])
         assert result.code == 0
         assert len(seen) == calls
+
+    def test_verify_builds_each_activation_once(self, run_cli, fixtures_dir, monkeypatch):
+        built = []
+        activation_tensor = networks.activation_tensor
+
+        def counting(activation, in_degree, arity):
+            built.append(activation)
+            return activation_tensor(activation, in_degree, arity)
+
+        monkeypatch.setattr(networks, "activation_tensor", counting)
+        result = run_cli("total", str(fixtures_dir / "five_node.json"), "--method", "verify")
+        assert (result.code, result.out) == (0, "EQUAL (32 cells)\n")
+        assert len(built) == 5
 
     @pytest.mark.parametrize("argv, message", [
         (["total", "--method", "direct", "--assign", "alpha=1_0,beta=1"],

@@ -490,6 +490,45 @@ class TestPrefixSharedDirect:
         assert_matches_table(total_bmp(spec), table)
 
 
+class TestOnePreparation:
+    @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
+    def test_every_route_takes_a_prepared_network(self, build, table, monkeypatch):
+        spec = build()
+        prepared = PreparedNetwork(spec)
+
+        def routes(network):
+            return ([node_pipeline(network, i) for i in range(spec.node_count)],
+                    node_tensors(network), total_direct(network), total_bmp(network),
+                    verify_totals(network))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route prepared its network again")
+
+        expected = routes(spec)
+        assert_matches_table(expected[2], table)
+        monkeypatch.setattr(PreparedNetwork, "__init__", refuse)
+        assert routes(prepared) == expected
+
+    def test_the_cap_is_checked_before_any_activation_is_built(self, monkeypatch):
+        # a 25-node binary chain: 2**25 total cells, activations of at most 4
+        chain = NetworkSpec(2, (NodeSpec("v0", (), SourceVector((ALPHA, BETA))), *(
+            NodeSpec(f"v{i}", (f"v{i - 1}",), JukesCantor(ALPHA, BETA)) for i in range(1, 25))))
+        built = []
+        activation_tensor = networks.activation_tensor
+
+        def counting(activation, in_degree, arity):
+            built.append(activation)
+            return activation_tensor(activation, in_degree, arity)
+
+        monkeypatch.setattr(networks, "activation_tensor", counting)
+        with pytest.raises(CellCapExceeded) as info:
+            PreparedNetwork(chain)
+        assert (info.value.order, info.value.cap, built) == (25, 2 ** 24, [])
+        checks = stochastic_report(chain)
+        assert [check.node for check in checks] == chain.node_ids() and len(built) == 25
+        assert not any(check.stochastic for check in checks)
+
+
 class TestOneContractionKernel:
     @pytest.mark.parametrize("workload, multiplies", [("mono-n2-d12", 8_188),
                                                       ("poly-n3-d7", 3_276)])
@@ -710,7 +749,7 @@ class TestLazyEvaluation:
             cells = tuple(rng.choice(entries) for _ in range(2 ** (len(parents) + 1)))
             activation = ExplicitActivation(cells) if parents else SourceVector(cells)
             nodes.append(NodeSpec(f"v{i}", parents, activation))
-        prepared = PreparedNetwork(NetworkSpec(2, tuple(nodes)))
+        prepared = PreparedNetwork(NetworkSpec(2, tuple(nodes)), max_cells=2 ** 40)
         for _ in range(50):
             idx = tuple(rng.randrange(2) for _ in range(40))
             assert prepared.total_bmp_cell(idx) == prepared.total_direct_cell(idx)
