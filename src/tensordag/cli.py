@@ -136,7 +136,13 @@ def _max_cells(raw: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The names of the commands that ``build_parser`` adds.
+_COMMANDS = ("validate", "order", "node-tensors", "total", "bmp", "families")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tensordag`` parser.  It lists every command, but only ``command``
+    (each of them when None) gets its arguments; ``main`` passes the one it runs."""
     parser = argparse.ArgumentParser(
         prog="tensordag",
         description="Exact total tensors of DAG signal networks, computed by the "
@@ -144,47 +150,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "symbolic verification that the two agree.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a network document against every invariant")
-    p.add_argument("file")
-    p.add_argument("--check-stochastic", action="store_true",
-                   help="also report whether each activation sums to 1 over its output axis")
-    p.set_defaults(run=cmd_validate)
+    def add(name: str, text: str, run) -> argparse.ArgumentParser | None:
+        # Another command keeps its name and help line, which the top level
+        # prints, but no argument: parse_args never runs its parser.
+        if command not in (None, name):
+            sub.add_parser(name, help=text, add_help=False)
+            return None
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("order", help="print a topological order of the network's nodes")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_order)
-
-    p = sub.add_parser("node-tensors", help="print the order-d node tensors")
-    p.add_argument("file")
-    p.add_argument("--node", help="only this node id")
-    p.add_argument("--stages", action="store_true",
-                   help="also print the widened and blown intermediate stages")
-    p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
-                   help="refuse tensors with more cells than this")
-    p.set_defaults(run=cmd_node_tensors)
-
-    p = sub.add_parser("total", help="compute the network's total tensor")
-    p.add_argument("file")
-    p.add_argument("--method", required=True, choices=("direct", "bmp", "verify"))
-    p.add_argument("--assign", help="evaluate numerically, e.g. alpha=1,beta=1/2")
-    p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
-                   help="refuse tensors with more cells than this")
-    p.set_defaults(run=cmd_total)
-
-    p = sub.add_parser("bmp", help="product of the tensors in the given files, in list order")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(run=cmd_bmp)
-
-    p = sub.add_parser("families", help="list the built-in activation families")
-    p.add_argument("--list", action="store_true", help="list the families (default)")
-    p.set_defaults(run=cmd_families)
+    if p := add("validate", "check a network document against every invariant", cmd_validate):
+        p.add_argument("file")
+        p.add_argument("--check-stochastic", action="store_true",
+                       help="also report whether each activation sums to 1 over its output axis")
+    if p := add("order", "print a topological order of the network's nodes", cmd_order):
+        p.add_argument("file")
+    if p := add("node-tensors", "print the order-d node tensors", cmd_node_tensors):
+        p.add_argument("file")
+        p.add_argument("--node", help="only this node id")
+        p.add_argument("--stages", action="store_true",
+                       help="also print the widened and blown intermediate stages")
+        p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
+                       help="refuse tensors with more cells than this")
+    if p := add("total", "compute the network's total tensor", cmd_total):
+        p.add_argument("file")
+        p.add_argument("--method", required=True, choices=("direct", "bmp", "verify"))
+        p.add_argument("--assign", help="evaluate numerically, e.g. alpha=1,beta=1/2")
+        p.add_argument("--max-cells", type=_max_cells, default=networks.DEFAULT_CELL_CAP,
+                       help="refuse tensors with more cells than this")
+    if p := add("bmp", "product of the tensors in the given files, in list order", cmd_bmp):
+        p.add_argument("files", nargs="+")
+    if p := add("families", "list the built-in activation families", cmd_families):
+        p.add_argument("--list", action="store_true", help="list the families (default)")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so the first word that names
+    # a command is the one parse_args runs; it refuses any positional before it.
+    command = next((word for word in words if word in _COMMANDS), "")
+    args = build_parser(command).parse_args(words)
     try:
         return args.run(args)
     except (TensordagInputError, OSError, UnicodeDecodeError) as err:

@@ -1,10 +1,13 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -299,6 +302,105 @@ class TestMaxCellsDigits:
                       "--max-cells", raw])
         assert (info.value.code, out.getvalue()) == (2, "")
         assert err.getvalue().endswith(f"argument --max-cells: invalid int value: {raw!r}\n")
+
+
+COMMANDS = ["validate", "order", "node-tensors", "total", "bmp", "families"]
+FIVE_NODE = str(FIXTURES / "five_node.json")
+_BUILD_WHOLE_PARSER = cli.build_parser
+
+
+def _outcome(argv: list[str] | None) -> tuple[object, str, str]:
+    """``cli.main(argv)``'s exit code (or ``SystemExit`` code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = ("SystemExit", exit_.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _whole_parser_outcome(argv: list[str]) -> tuple[object, str, str]:
+    """``_outcome(argv)`` when every call builds every command's arguments."""
+    with mock.patch.object(cli, "build_parser", lambda command=None: _BUILD_WHOLE_PARSER()):
+        return _outcome(argv)
+
+
+class TestParserPerCommand:
+    """A call adds only its own command's arguments, and nothing it prints changes."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["--he"], ["totl"],
+        *([word, name] for name in COMMANDS for word in ("-h", "--help")),
+        *([name, word] for name in COMMANDS for word in ("-h", "--help")),
+        ["total", FIVE_NODE], ["total", FIVE_NODE, "--method", "foo"],
+        ["total", FIVE_NODE, "--meth", "direct"], ["total", FIVE_NODE, "--method", "direct"],
+        ["--bogus", "total", FIVE_NODE, "--method", "direct"],
+        ["total", FIVE_NODE, "--method", "direct", "--bogus"],
+        ["x", "total"], ["x", "total", FIVE_NODE, "--method", "direct"],
+        ["--", "total", FIVE_NODE, "--method", "direct"],
+        ["validate", "total"], ["total", "validate", "--method", "direct"],
+        ["families", "--list", "extra"], ["families", "total"], ["-x", "families"],
+        ["families", "-x"], ["families"],
+        ["bmp"], ["total", FIVE_NODE, "--method", "direct", "--max-cells", "x"],
+        ["node-tensors", FIVE_NODE, "--node", "a", "--max-cells", "32"],
+    ]
+    #: Command names, their flags and values, help, the end of options, junk and a file.
+    TOKENS = [*COMMANDS, "--check-stochastic", "--node", "a", "--stages", "--max-cells", "32",
+              "--method", "direct", "verify", "--assign", "alpha=1,beta=2", "--list", "-h",
+              "--", "x", "-x", "--bogus", "totl", FIVE_NODE]
+
+    @pytest.mark.parametrize("argv", ARGVS,
+                             ids=lambda argv: ",".join(argv).replace(FIVE_NODE, "FILE") or "-")
+    def test_same_outcome_as_the_whole_parser(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        for name in ("total", "validate"):  # files named after commands
+            (tmp_path / name).write_text((FIXTURES / "five_node.json").read_text())
+        assert _outcome(argv) == _whole_parser_outcome(argv)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(TOKENS), max_size=6))
+    def test_random_argvs_have_the_whole_parsers_outcome(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(argv) == _whole_parser_outcome(argv)
+
+    def test_a_call_adds_only_its_commands_arguments(self, monkeypatch):
+        counts = {"parsers": 0, "arguments": 0}
+        init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+        def counting_init(parser, *args, **kwargs):
+            counts["parsers"] += 1
+            init(parser, *args, **kwargs)
+
+        def counting_add_argument(parser, *args, **kwargs):
+            counts["arguments"] += 1
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+        seen = []
+        for _ in range(2):  # no parser is kept from one call to the next
+            assert _outcome(["total", FIVE_NODE, "--method", "direct"])[0] == 0
+            seen.append(dict(counts))
+            counts.update(parsers=0, arguments=0)
+        # The top level's -h, and total's -h, file, --method, --assign and --max-cells.
+        assert seen == [{"parsers": 7, "arguments": 6}] * 2
+        _whole_parser_outcome(["total", FIVE_NODE, "--method", "direct"])
+        assert counts == {"parsers": 7, "arguments": 20}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["tensordag", "families"], 0),
+        (["tensordag", "totl"], ("SystemExit", 2)),
+        (["families", "total", FIVE_NODE, "--method", "direct"], 0),
+    ], ids=["families", "unknown-command", "program-named-like-a-command"])
+    def test_the_console_script_reads_sys_argv_after_the_program(self, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", argv)
+        outcome = _outcome(None)
+        assert outcome[0] == code
+        assert outcome == _whole_parser_outcome(argv[1:])
 
 
 class TestOneNetworkCheck:
