@@ -24,9 +24,10 @@ The module computes it two independent ways:
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
   and then takes one summand-ordered Bhattacharya-Mesner product with the
   sink's tensor first.  The node tensors are views of the activations that
-  copy no entry, and the product multiplies each node's factor in at the
-  node's own axis, so it too makes each prefix product once; the blown ties
-  leave it one term per cell.
+  copy no entry.  The product sweeps the result axes level by level, one
+  list of prefix products per level, and multiplies each node's factor into
+  the level of the node's own axis, so it too makes each prefix product
+  once; the blown ties leave it one term per cell.
 
 The two results are exactly equal for every valid network; `verify_totals`
 checks that equality cell by cell and is wired to the CLI ``total --method
@@ -272,6 +273,8 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     if spec.arity < 2:
         violations.append(Violation("ArityOutOfRange", None,
                                     f"arity must be >= 2, got {spec.arity}"))
+    if not spec.nodes:
+        violations.append(Violation("EmptyNetwork", None, "a network needs at least one node"))
     position: dict[str, int] = {}
     for i, node in enumerate(spec.nodes):
         if node.id in position:

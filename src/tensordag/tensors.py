@@ -25,17 +25,19 @@ All operations are pure; tensors are immutable after construction.
 :func:`forget`, :func:`blow`, :func:`sigma_transpose` and :func:`identitary`
 are index maps: they return views over their input's base cells and copy no
 cell, and a view builds its row-major ``cells`` only when first asked.
-:func:`bmp` is one depth-first walk over the result axes that reads only its
-factors' strides and ties.  A tie on a contracted axis fixes the contracted
-index h, so tied-off terms are never visited.  Each index prefix holds one
-product and the fibers along h of the factors that read a free h; every other
-factor is multiplied into the product at the deepest result axis it reads,
-so a product that many cells share is made once.  ``_contract`` is the one
-sum of factor products over h: the walk ends every cell with it, and so does
-the network layer's lazy product cell.  The direct route reads every
-activation entry once through the bounds-checked ``Tensor[...]`` and then
-indexes its rows by its own Horner code, so the two total routes share no
-index arithmetic.
+:func:`bmp` is one sweep over the result axes, level by level, that reads only
+its factors' strides and ties.  A tie on a contracted axis fixes the contracted
+index h, so tied-off terms are never visited.  Level j is one row-major list of
+products, one per index prefix of length j+1; each factor that does not read a
+free h is multiplied into a level at the deepest result axis it reads, so a
+product that many cells share is made once, and a zero prefix is never
+multiplied.  A factor that reads a free h gives each cell its fiber along h,
+sliced from the factor's base only when the cell is contracted.  ``_contract``
+is the one sum of factor products over h: the sweep ends every nonzero cell
+with it, and so does the network layer's lazy product cell.  The direct route
+reads every activation entry once through the bounds-checked ``Tensor[...]``
+and then indexes its rows by its own Horner code, so the two total routes
+share no index arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -302,7 +304,7 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
         OrderMismatch: some factor's order differs from the number of factors.
         ShapeMismatch: the contracted or shared dimensions are inconsistent.
         TensordagInputError: the result would have more cells than both
-            ``DEFAULT_CELL_CAP`` and its largest factor; checked before the walk.
+            ``DEFAULT_CELL_CAP`` and its largest factor; checked before the sweep.
     """
     factors = list(factors)
     d = len(factors)
@@ -345,8 +347,8 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
 
 
 def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) -> list[PolyScalar]:
-    """The product's cells in row-major order, from one depth-first walk over the
-    result axes that reads only the factors' strides and ties.
+    """The product's cells in row-major order, from one sweep over the result axes
+    that reads only the factors' strides and ties.
 
     A tie between a factor's contracted axis and result axis a zeroes every term
     but h = x[a].  If any factor has such a tie, h is fixed to the smallest such a:
@@ -354,66 +356,66 @@ def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) ->
     one term.  Otherwise h is free and a cell sums l terms.  Every other tie is a
     guard, which zeroes the factor's cell unless its two result coordinates agree.
 
-    Each factor is taken in at the deepest result axis it reads, by a stride or
-    a guard.  A prefix is one product and a tuple of fibers: a factor that does not
-    read h is multiplied into the product there, so the product of those read down
-    to axis j is made once per index prefix ``x[:j+1]`` and shared by every cell
-    under it, and a factor that reads a free h adds its l-cell fiber.  Each cell
-    ends with :func:`_contract` over the product, once per term, and the fibers.
-    A zero prefix emits its subtree as zero cells, and the axes below the deepest
-    one read repeat their cell.
+    Level j is one row-major list of values, one per index prefix ``x[:j+1]``: the
+    product of the factors read down to axis j.  Each factor joins at the deepest
+    result axis it reads, by a stride or a guard.  Its guards zero the prefixes
+    where their gaps, built as :attr:`Tensor.cells` builds them, are nonzero.  A
+    factor that does not read h is then multiplied into every prefix by one
+    comprehension over the offsets its strides give, so a product that many cells
+    share is made once; its first cell is taken as it is and a zero cell zeroes
+    the prefix, as :func:`_product` does.  A zero prefix stays ``_ZERO`` and is
+    never multiplied again.  A factor that reads a free h keeps only its strides:
+    each cell's fiber of its l cells along h is sliced from its start offset when
+    the cell is contracted.  Each nonzero cell of the deepest level read ends with
+    :func:`_contract` over the product, once per term, and the fibers, and the
+    axes below that level repeat the cell.
     """
     d = len(shape)
     fixed = min((b if a == c else a for t, c in zip(factors, contracted)
                  for a, b in t._ties if c in (a, b)), default=None)
-    levels: list[list] = [[] for _ in range(d)]
+    joins: list[list] = [[] for _ in range(d)]
     for t, c in zip(factors, contracted):
         strides = list(t._strides)
         step, strides[c] = strides[c], 0
         if fixed is not None:
             strides[fixed] += step
             step = 0
-        reads = [(a, s) for a, s in enumerate(strides) if s]
         guards = [(a, b) for a, b in ((fixed if a == c else a, fixed if b == c else b)
                                       for a, b in t._ties) if a != b]
-        depth = max([a for a, _ in reads] + [max(guard) for guard in guards], default=0)
-        levels[depth].append((t._base, reads, step, guards))
-    last = max(j for j, level in enumerate(levels) if level)
+        depth = max([a for a, s in enumerate(strides) if s] + [max(guard) for guard in guards],
+                    default=0)
+        joins[depth].append((t._base, strides, step, guards))
+    last = max(j for j, level in enumerate(joins) if level)
 
-    width = l if fixed is None else 1  # the terms a cell sums
-    tails = [math.prod(shape[j + 1:]) for j in range(d)]
-    cells: list[PolyScalar] = []
-    x = [-1] * d  # the index prefix on the current path, -1 before an axis's first
-    prefixes = [(_ONE, ())] * (last + 1)  # prefixes[j]: the factors read above axis j
-    j = 0
-    while j >= 0:
-        x[j] += 1
-        if x[j] == shape[j]:
-            x[j] = -1
-            j -= 1
-            continue
-        value, fibers = prefixes[j]
-        for base, reads, step, guards in levels[j]:
-            flat = sum(x[a] * s for a, s in reads)
-            cell = base[flat]
-            if guards and any(x[a] != x[b] for a, b in guards) or not step and cell.is_zero():
-                value = _ZERO
-                break
-            if step:
-                fibers += (base[flat:flat + l * step:step],)
-            else:
-                value = cell if value is _ONE else value * cell
-        if value is _ZERO:
-            cells.extend(repeat(_ZERO, tails[j]))
-        elif j == last:
+    values: Iterable[PolyScalar] = (_ONE,)  # the empty prefix
+    for j, dim in enumerate(shape[:last + 1]):
+        top = shape[:j + 1]
+        values = chain.from_iterable(map(repeat, values, repeat(dim)))
+        for base, strides, step, guards in joins[j]:
+            if guards:
+                gaps = zip(*(_offsets(top, [(a == p) - (a == q) for a in range(j + 1)])
+                             for p, q in guards))
+                values = [_ZERO if any(gap) else v for v, gap in zip(values, gaps)]
+            if not step:
+                cells = map(base.__getitem__, _offsets(top, strides))
+                values = [_ZERO if v is _ZERO or c.is_zero() else c if v is _ONE else v * c
+                          for v, c in zip(values, cells)]
+
+    free = [(base, strides, step) for level in joins for base, strides, step, _ in level if step]
+    if free:
+        def terms(value: PolyScalar, starts: tuple[int, ...]) -> tuple[Sequence[PolyScalar], ...]:
+            fibers = tuple(base[o:o + l * step:step] for (base, _, step), o in zip(free, starts))
             # A product still one would only lengthen every term: the fibers alone
             # make the same multiplies.
-            terms = fibers if value is _ONE and fibers else ((value,) * width, *fibers)
-            cells.extend(repeat(_contract(terms), tails[j]))
-        else:
-            prefixes[j + 1] = (value, fibers)
-            j += 1
-    return cells
+            return fibers if value is _ONE else ((value,) * l, *fibers)
+
+        starts = zip(*(_offsets(shape[:last + 1], strides) for _, strides, _ in free))
+        cells = [v if v is _ZERO else _contract(terms(v, s)) for v, s in zip(values, starts)]
+    else:
+        width = l if fixed is None else 1  # the terms a cell sums
+        cells = [v if v is _ZERO else _contract(((v,) * width,)) for v in values]
+    tail = math.prod(shape[last + 1:])
+    return cells if tail == 1 else list(chain.from_iterable(map(repeat, cells, repeat(tail))))
 
 
 def summand_ordered_bmp(factors: Sequence[Tensor]) -> Tensor:

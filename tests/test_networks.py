@@ -1,7 +1,9 @@
 """Network model: activation families, validation, node tensors, totals."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import hypothesis.strategies as st
@@ -15,10 +17,10 @@ from tensordag import (CellCapExceeded, CycleDetected, ExplicitActivation,
                        FamilyArityMismatch, InvalidNetwork, JukesCantor,
                        NetworkSpec, NodeSpec, Permutation, PolyScalar,
                        PreparedNetwork, QuantumThresholdOne, SourceVector,
-                       StochasticCheck, Tensor, ThresholdOne, activation_tensor, blow,
+                       StochasticCheck, Tensor, ThresholdOne, activation_tensor, blow, bmp,
                        ensure_valid, node_pipeline, node_tensors,
                        outer_product, parse_expr, parse_network,
-                       sigma_transpose, stochastic_report,
+                       sigma_transpose, stochastic_report, summand_ordered_bmp,
                        topological_order, total_bmp, total_direct, validate,
                        verify_totals)
 from golden import (ALPHA, BETA, CHAIN_NODE_TENSORS, CHAIN_TOTAL, FIVE_NODE_NODE_TENSORS,
@@ -134,6 +136,14 @@ class TestValidate:
     def test_arity_below_two(self):
         spec = NetworkSpec(1, (NodeSpec("x", (), SourceVector((ALPHA,))),))
         assert "ArityOutOfRange" in {v.code for v in validate(spec)}
+
+    @pytest.mark.parametrize("route", [node_tensors, total_direct, total_bmp, verify_totals,
+                                       stochastic_report, PreparedNetwork])
+    def test_a_network_without_nodes_is_refused_by_every_route(self, route):
+        spec = NetworkSpec(2, ())
+        assert [v.code for v in validate(spec)] == ["EmptyNetwork"]
+        with pytest.raises(InvalidNetwork, match="EmptyNetwork"):
+            route(spec)
 
     def test_ensure_valid_raises(self):
         spec = NetworkSpec(2, (NodeSpec("a", ("a",), JukesCantor(ALPHA, BETA)),))
@@ -542,6 +552,19 @@ class TestOneContractionKernel:
         assert calls == multiplies
         assert total == total_direct(spec)
 
+    def test_a_zero_prefix_skips_the_same_multiplies_in_both_routes(self, monkeypatch):
+        # threshold_one's disobeying cells are hard zeros: each source state leaves one
+        # nonzero prefix per level, so each route makes 2 multiplies per child node
+        nodes = [NodeSpec("v0", (), SourceVector((ALPHA, BETA)))]
+        nodes += [NodeSpec(f"v{i}", tuple(f"v{j}" for j in sorted({i // 2, i - 1})),
+                           ThresholdOne(ALPHA)) for i in range(1, 6)]
+        spec = NetworkSpec(2, tuple(nodes))
+        direct, direct_calls = _count_multiplies(total_direct, spec, monkeypatch)
+        via_product, product_calls = _count_multiplies(total_bmp, spec, monkeypatch)
+        assert direct_calls == product_calls == 10
+        assert sum(cell.is_zero() for cell in via_product.cells) == 62
+        assert via_product == direct
+
     @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
     def test_direct_route_runs_without_the_contraction(self, build, table, monkeypatch):
         monkeypatch.setattr(tensors, "_contract", _refuse)
@@ -601,6 +624,42 @@ class TestDepthFirstProduct:
         assert multiplies == n ** 2 + n ** 3
         monkeypatch.undo()
         assert total == total_direct(spec)
+
+
+def _peak_over_kept(call):
+    """``call()`` and the peak of the memory it allocated over the memory its result keeps."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, (peak - before) / (kept - before)
+
+
+class TestProductMemory:
+    # The sweep holds one level of prefix values besides the result: no offsets
+    # or fibers of the deepest level are kept.
+    def test_the_chain_product_peaks_near_its_result(self):
+        bs = node_tensors(jukes_cantor_chain(40))
+        total, ratio = _peak_over_kept(lambda: summand_ordered_bmp([bs[-1], *bs[:-1]]))
+        assert total.ncells == 40 ** 3
+        assert ratio <= 1.25
+
+    @pytest.mark.parametrize("d, side", [(2, 24), (3, 10)])
+    def test_a_free_index_product_peaks_near_its_result(self, d, side):
+        rng = random.Random(d)
+        factors = [Tensor((side,) * d, [rng.randint(-9, 9) for _ in range(side ** d)])
+                   for _ in range(d)]
+        total, ratio = _peak_over_kept(lambda: bmp(factors))
+        assert total.shape == (side,) * d
+        assert ratio <= 1.25
 
 
 def _keeps_parents_first(spec, placement):
