@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from typing import Container, Iterable, Iterator, Sequence, Union
@@ -131,7 +130,7 @@ def _parse_activation(obj: object, p: int, arity: int, path: str,
     if family is None:
         known = ", ".join(sorted(_FAMILY_BY_KIND))
         raise SchemaError(f"{path}.type", f"expected one of {known}, got {kind!r}")
-    names = ("type", *(field.name for field in fields(family)))
+    names = ("type", *family._fields)
     _expect_keys(obj, names, names, path)
     values = {}
     for name in names[1:]:

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product, repeat
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
+from ._record import Record
 from .scalars import (_MAX_POWER_BITS, _ONE, _ZERO, Assignment, PolyScalar, TensordagInputError,
                       _size_bits, count_text)
 from .tensors import (DEFAULT_CELL_CAP, Tensor, _contract, _product, blow, forget,
@@ -82,10 +82,10 @@ class CellCapExceeded(TensordagInputError):
             f"{count_text(arity ** order)} cells, above the cap of {cap}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated network invariant; collected by :func:`validate`."""
 
+    __slots__ = ("code", "node", "message")
     code: str
     node: str | None
     message: str
@@ -100,43 +100,40 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _EntryList:
+class _EntryList(Record):
+    __slots__ = ("entries",)
+    _tuples = ("entries",)
     entries: tuple[PolyScalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
 
-
-@dataclass(frozen=True)
 class SourceVector(_EntryList):
     """Activation of a parentless node: one weight per state."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "vector"
     summary: ClassVar[str] = "in-degree 0; 'entries' lists one weight per state"
 
 
-@dataclass(frozen=True)
 class ExplicitActivation(_EntryList):
     """Cubical order-(p+1) activation given cell by cell, row-major."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "explicit"
     summary: ClassVar[str] = ("any in-degree; 'entries' lists all n^(p+1) cells row-major,"
                               " own state last")
 
 
-@dataclass(frozen=True)
-class JukesCantor:
+class JukesCantor(Record):
     """Single-parent activation: alpha on the diagonal, beta elsewhere."""
 
+    __slots__ = ("alpha", "beta")
     kind: ClassVar[str] = "jukes_cantor"
     summary: ClassVar[str] = "in-degree 1; 'alpha' on the diagonal, 'beta' off it"
     alpha: PolyScalar
     beta: PolyScalar
 
 
-@dataclass(frozen=True)
-class ThresholdOne:
+class ThresholdOne(Record):
     """Binary 'at least one parent fired' rule, weight alpha, hard zeros.
 
     The cell is zero when the node disobeys the rule: all parents in state 0
@@ -144,16 +141,17 @@ class ThresholdOne:
     cell is alpha.
     """
 
+    __slots__ = ("alpha",)
     kind: ClassVar[str] = "threshold_one"
     summary: ClassVar[str] = ("in-degree p, arity 2; output fires iff some parent fired;"
                               " obedient cells 'alpha', others 0")
     alpha: PolyScalar
 
 
-@dataclass(frozen=True)
-class QuantumThresholdOne:
+class QuantumThresholdOne(Record):
     """Threshold rule whose forbidden cells carry weight beta instead of 0."""
 
+    __slots__ = ("alpha", "beta")
     kind: ClassVar[str] = "quantum_threshold_one"
     summary: ClassVar[str] = "like threshold_one with disobedient cells 'beta' instead of 0"
     alpha: PolyScalar
@@ -179,27 +177,23 @@ def entry_count(family: type, in_degree: int, arity: int) -> int:
     return arity ** exponent
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Record):
     """One node: id, parent ids (sorted by position), and its activation."""
 
+    __slots__ = ("id", "parents", "activation")
+    _tuples = ("parents",)
     id: str
     parents: tuple[str, ...]
     activation: ActivationSpec
 
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
 
-
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Record):
     """A network: arity plus the nodes in their total ordering."""
 
+    __slots__ = ("arity", "nodes")
+    _tuples = ("nodes",)
     arity: int
     nodes: tuple[NodeSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
 
     @property
     def node_count(self) -> int:
@@ -380,8 +374,7 @@ def topological_order(node_ids: Sequence[str], edges: Iterable[tuple[str, str]])
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodePipeline:
+class NodePipeline(Record):
     """The intermediate tensors that turn one activation into its node tensor.
 
     For the node at position i (0-based) in a d-node network:
@@ -396,6 +389,7 @@ class NodePipeline:
       node tensor is just ``widened``, already order d).
     """
 
+    __slots__ = ("index", "activation", "widened", "blown", "node_tensor")
     index: int
     activation: Tensor
     widened: Tensor
@@ -572,9 +566,8 @@ def map_entries(activation: ActivationSpec,
                 function: Callable[[PolyScalar], object]) -> dict[str, object]:
     """Each field of ``activation`` by name, with ``function`` applied to its
     entry; a tuple field lists entries, and holds the list of their images."""
-    return {field.name: (list(map(function, value)) if isinstance(value, tuple)
-                         else function(value))
-            for field in fields(activation) for value in [getattr(activation, field.name)]}
+    return {name: (list(map(function, value)) if isinstance(value, tuple) else function(value))
+            for name, value in zip(activation._fields, activation._values())}
 
 
 def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | None:
@@ -619,14 +612,13 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
            for entries in node_entries) > _MAX_POWER_BITS:
         return None
     values = {entry: PolyScalar.constant(entry.evaluate(bindings)) for entry in symbolic}
-    return replace(spec, nodes=tuple(
-        replace(node, activation=replace(node.activation, **map_entries(
+    return spec._replace(nodes=tuple(
+        node._replace(activation=node.activation._replace(**map_entries(
             node.activation, lambda entry: values.get(entry, entry))))
         for node in spec.nodes))
 
 
-@dataclass(frozen=True)
-class StochasticCheck:
+class StochasticCheck(Record):
     """Whether one node's activation sums to 1 over its output axis.
 
     Stochastic weights are never required - totals are well defined for any
@@ -635,10 +627,12 @@ class StochasticCheck:
     parent-state combination whose output marginal is not 1.
     """
 
+    __slots__ = ("node", "stochastic", "failing_input", "failing_sum")
+    _defaults = {"failing_input": None, "failing_sum": None}
     node: str
     stochastic: bool
-    failing_input: tuple[int, ...] | None = None
-    failing_sum: PolyScalar | None = None
+    failing_input: tuple[int, ...] | None
+    failing_sum: PolyScalar | None
 
 
 def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
@@ -660,13 +654,14 @@ def stochastic_report(spec: NetworkSpec) -> list[StochasticCheck]:
     return reports
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """Outcome of comparing the two total-tensor routes cell by cell."""
 
+    __slots__ = ("equal", "cells", "first_difference")
+    _defaults = {"first_difference": None}
     equal: bool
     cells: int
-    first_difference: tuple[tuple[int, ...], PolyScalar, PolyScalar] | None = None
+    first_difference: tuple[tuple[int, ...], PolyScalar, PolyScalar] | None
 
 
 def verify_totals(network: NetworkSpec | PreparedNetwork,

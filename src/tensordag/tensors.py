@@ -43,12 +43,12 @@ share no index arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .scalars import _ONE, _ZERO, PolyScalar, TensordagInputError, count_text, parse_expr
 
 #: Tensor shape: one positive dimension per axis.
@@ -96,13 +96,15 @@ def as_scalar(value: PolyScalar | int | Fraction | str) -> PolyScalar:
     raise TypeError(f"cannot use {type(value).__name__} as a tensor cell")
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on axis numbers {0, ..., d-1}, given by its image tuple."""
+class Permutation(Record):
+    """A bijection on axis numbers {0, ..., d-1}, given by its images."""
 
+    __slots__ = ("images",)
+    _tuples = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, images: Iterable[int]):
+        super().__init__(images)
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"{self.images!r} is not a permutation of 0..{len(self.images) - 1}")
 

@@ -3,10 +3,12 @@
 import argparse
 import io
 import json
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -677,6 +679,28 @@ class TestFamilies:
             " fired; obedient cells 'alpha', others 0\n"
             "quantum_threshold_one  like threshold_one with disobedient cells 'beta'"
             " instead of 0\n")
+
+
+#: Imports the package from the directory given as the first argument and
+#: prints the modules that the import added to ``sys.modules``.
+NEW_MODULES_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import tensordag, tensordag.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestStartUp:
+    def test_the_import_loads_no_dataclass_machinery(self):
+        # A fresh isolated interpreter; modules its site had loaded already are not counted.
+        package_root = Path(tensordag.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-I", "-c", NEW_MODULES_SCRIPT, str(package_root)],
+                              capture_output=True, text=True, check=True, timeout=60)
+        added = set(done.stdout.split())
+        assert "tensordag.cli" in added
+        assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 class TestGoldenCorpusExitCodes:

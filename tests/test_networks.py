@@ -1,7 +1,8 @@
 """Network model: activation families, validation, node tensors, totals."""
 
-import dataclasses
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from itertools import permutations, product
@@ -15,9 +16,10 @@ from fractions import Fraction
 from tensordag import networks, tensors
 from tensordag import (CellCapExceeded, CycleDetected, ExplicitActivation,
                        FamilyArityMismatch, InvalidNetwork, JukesCantor,
-                       NetworkSpec, NodeSpec, Permutation, PolyScalar,
+                       NetworkSpec, NodePipeline, NodeSpec, Permutation, PolyScalar,
                        PreparedNetwork, QuantumThresholdOne, SourceVector,
-                       StochasticCheck, Tensor, ThresholdOne, activation_tensor, blow, bmp,
+                       StochasticCheck, Tensor, ThresholdOne, VerificationResult, Violation,
+                       activation_tensor, blow, bmp,
                        ensure_valid, node_pipeline, node_tensors,
                        outer_product, parse_expr, parse_network,
                        sigma_transpose, stochastic_report, summand_ordered_bmp,
@@ -85,6 +87,120 @@ class TestActivationFamilies:
     def test_family_mismatches(self, activation, in_degree, arity):
         with pytest.raises(FamilyArityMismatch):
             activation_tensor(activation, in_degree, arity)
+
+
+def record_cases():
+    """One record of each type, by its fields' names and values; each call
+    builds new values."""
+    a, b = parse_expr("alpha"), parse_expr("beta")
+    vector = Tensor.vector([a, b])
+    return [
+        (Permutation, {"images": (2, 0, 1)}),
+        (Violation, {"code": "UnknownParent", "node": "v", "message": "parent 'u' is not a node"}),
+        (SourceVector, {"entries": (a, b)}),
+        (ExplicitActivation, {"entries": (a, b, b, a)}),
+        (JukesCantor, {"alpha": a, "beta": b}),
+        (ThresholdOne, {"alpha": a}),
+        (QuantumThresholdOne, {"alpha": a, "beta": b}),
+        (NodeSpec, {"id": "v", "parents": ("u",), "activation": JukesCantor(a, b)}),
+        (NetworkSpec, {"arity": 2, "nodes": (NodeSpec("u", (), SourceVector((a, b))),)}),
+        (NodePipeline, {"index": 0, "activation": vector, "widened": vector, "blown": None,
+                        "node_tensor": vector}),
+        (StochasticCheck, {"node": "v", "stochastic": False, "failing_input": (0,),
+                           "failing_sum": a + b}),
+        (VerificationResult, {"equal": False, "cells": 2, "first_difference": ((1,), a, b)}),
+    ]
+
+
+RECORD_NAMES = [cls.__name__ for cls, _ in record_cases()]
+each_record = pytest.mark.parametrize("case", range(len(RECORD_NAMES)), ids=RECORD_NAMES)
+
+
+class TestRecords:
+    """Records are equal by class and field values, hash by those values, and are immutable."""
+
+    @each_record
+    def test_keyword_and_positional_construction_agree(self, case):
+        cls, fields = record_cases()[case]
+        _, same = record_cases()[case]
+        by_keyword, by_position = cls(**fields), cls(*same.values())
+        assert by_keyword == by_position and not by_keyword != by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert all(getattr(by_keyword, name) == value for name, value in fields.items())
+
+    @each_record
+    def test_assignment_is_refused(self, case):
+        cls, fields = record_cases()[case]
+        record = cls(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(**fields)
+
+    @each_record
+    def test_a_copy_is_equal(self, case):
+        cls, fields = record_cases()[case]
+        record = cls(**fields)
+        assert copy.copy(record) == record
+
+    def test_a_pickled_network_is_equal(self):
+        spec = five_node_network()
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_records_of_different_classes_with_equal_fields_are_unequal(self):
+        assert SourceVector((ALPHA, BETA)) != ExplicitActivation((ALPHA, BETA))
+        assert JukesCantor(ALPHA, BETA) != QuantumThresholdOne(ALPHA, BETA)
+        assert not SourceVector((ALPHA,)) == ExplicitActivation((ALPHA,))
+        assert SourceVector((ALPHA, BETA)) != (ALPHA, BETA)
+
+    def test_unequal_fields_make_unequal_records(self):
+        assert JukesCantor(ALPHA, BETA) != JukesCantor(BETA, ALPHA)
+        assert NodeSpec("v", (), SourceVector((ALPHA,))) != NodeSpec("v", (), SourceVector((BETA,)))
+
+    def test_optional_fields_default_to_none(self):
+        check = StochasticCheck("v", True)
+        assert check.failing_input is None and check.failing_sum is None
+        assert check == StochasticCheck(node="v", stochastic=True, failing_sum=None)
+        assert VerificationResult(True, 8).first_difference is None
+        assert VerificationResult(equal=True, cells=8) == VerificationResult(True, 8, None)
+
+    def test_sequences_are_stored_as_tuples(self):
+        assert SourceVector([ALPHA, BETA]).entries == (ALPHA, BETA)
+        assert ExplicitActivation(iter([ALPHA, BETA])).entries == (ALPHA, BETA)
+        node = NodeSpec("v", ["u"], JukesCantor(ALPHA, BETA))
+        assert node.parents == ("u",) and node == NodeSpec("v", ("u",), JukesCantor(ALPHA, BETA))
+        assert NetworkSpec(2, [node]).nodes == (node,)
+        assert hash(NetworkSpec(2, [node])) == hash(NetworkSpec(2, (node,)))
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),                                           # a field missing
+        ((ALPHA, BETA, ALPHA), {}),                         # one value too many
+        ((ALPHA,), {"alpha": ALPHA, "beta": BETA}),        # a field given twice
+        ((ALPHA, BETA), {"gamma": ALPHA}),                  # no such field
+    ])
+    def test_a_wrong_argument_list_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            JukesCantor(*args, **kwargs)
+
+    def test_replace_changes_only_the_named_fields(self):
+        node = NodeSpec("v", ("u",), JukesCantor(ALPHA, BETA))
+        assert node._replace(activation=ThresholdOne(ALPHA)) == NodeSpec("v", ("u",),
+                                                                          ThresholdOne(ALPHA))
+        assert node == NodeSpec("v", ("u",), JukesCantor(ALPHA, BETA))
+        with pytest.raises(TypeError):
+            node._replace(activations=ThresholdOne(ALPHA))
+
+    def test_repr_names_every_field(self):
+        spec = NetworkSpec(2, (NodeSpec("v", (), SourceVector((parse_expr("a"),))),))
+        assert repr(spec) == ("NetworkSpec(arity=2, nodes=(NodeSpec(id='v', parents=(), "
+                              "activation=SourceVector(entries=(PolyScalar('a'),))),))")
+        assert repr(StochasticCheck("v", True)) == (
+            "StochasticCheck(node='v', stochastic=True, failing_input=None, failing_sum=None)")
+        assert repr(Permutation((1, 0))) == "Permutation(images=(1, 0))"
+        assert str(Violation("EmptyNetwork", None, "a network needs at least one node")) == (
+            "EmptyNetwork: a network needs at least one node")
 
 
 class TestValidate:
@@ -458,8 +574,8 @@ class TestPrefixSharedDirect:
         # a zero source entry skips the multiplies of nodes 1..d-1 under it
         source = spec.nodes[0]
         entries = (PolyScalar.zero(),) + source.activation.entries[1:]
-        zeroed = dataclasses.replace(spec, nodes=(
-            dataclasses.replace(source, activation=SourceVector(entries)),) + spec.nodes[1:])
+        zeroed = NetworkSpec(spec.arity, (
+            NodeSpec(source.id, source.parents, SourceVector(entries)),) + spec.nodes[1:])
         total, zeroed_calls = _count_direct_multiplies(zeroed, monkeypatch)
         assert zeroed_calls == calls - sum(n ** k for k in range(1, d))
         assert total.cells[:n ** (d - 1)] == (PolyScalar.zero(),) * n ** (d - 1)

@@ -120,6 +120,11 @@ class TestPermutation:
         assert Permutation((1, 0, 2)).is_involution()
         assert not Permutation((1, 2, 0)).is_involution()
 
+    def test_images_given_as_a_list_are_stored_as_a_tuple(self):
+        sigma = Permutation([1, 0])
+        assert sigma.images == (1, 0)
+        assert sigma == Permutation((1, 0)) and hash(sigma) == hash(Permutation((1, 0)))
+
 
 class TestProduct:
     def test_two_by_two_matrix_product(self):
@@ -577,6 +582,67 @@ class TestReferenceEquivalence:
             return total
 
         assert bmp(factors) == Tensor.from_function(shape, cell)
+
+
+@st.composite
+def view_operands(draw):
+    """A dense tensor seen through one or two views: a blow (a tie from axis 0 to
+    a new last axis), a forget (stride-0 axes) or a sigma transpose, so that
+    the operation under test meets inputs that already carry ties."""
+    t = draw(int_tensors(draw(st.lists(dims, min_size=1, max_size=3).map(tuple))))
+    for kind in draw(st.lists(st.sampled_from(["blow", "forget", "transpose"]),
+                              min_size=1, max_size=2)):
+        if kind == "blow":
+            t = blow(t)
+        elif kind == "forget":
+            t = forget(t, [draw(st.integers(0, t.order))], draw(dims))
+        else:
+            t = sigma_transpose(t, Permutation(tuple(draw(st.permutations(range(t.order))))))
+    return t
+
+
+class TestReferenceEquivalenceOfViews:
+    """The per-cell formulas of ``forget``, ``blow`` and ``sigma_transpose`` on
+    views, each read through the input's bounds-checked ``Tensor[...]``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forget(self, data):
+        t = data.draw(view_operands())
+        count = data.draw(st.integers(1, 2))
+        order = t.order + count
+        positions = data.draw(st.lists(st.integers(0, order - 1), min_size=count,
+                                       max_size=count, unique=True))
+        new_dims = data.draw(st.lists(dims, min_size=count, max_size=count))
+        inserted = dict(zip(sorted(positions), new_dims))
+        kept = iter(t.shape)
+        shape = tuple(inserted[a] if a in inserted else next(kept) for a in range(order))
+        expected = Tensor.from_function(
+            shape, lambda idx: t[tuple(i for a, i in enumerate(idx) if a not in inserted)])
+        assert forget(t, positions, new_dims) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(view_operands())
+    def test_blow(self, t):
+        expected = Tensor.from_function(
+            t.shape + (t.shape[0],), lambda idx: t[idx[:-1]] if idx[0] == idx[-1] else 0)
+        assert blow(t) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sigma_transpose(self, data):
+        t = data.draw(view_operands())
+        sigma = Permutation(tuple(data.draw(st.permutations(range(t.order)))))
+        shape = tuple(t.shape[sigma.inverse()(k)] for k in range(t.order))
+        expected = Tensor.from_function(
+            shape, lambda x: t[tuple(x[sigma(m)] for m in range(t.order))])
+        assert sigma_transpose(t, sigma) == expected
+
+    def test_forget_moves_a_blown_tie_with_its_axes(self):
+        v = Tensor.vector([ALPHA, BETA])
+        widened = forget(blow(v), [0], 2)
+        assert widened == Tensor.from_function(
+            (2, 2, 2), lambda idx: v[(idx[1],)] if idx[1] == idx[2] else 0)
 
 
 #: Cells shared by every factor, so that many terms repeat a (left, right) pair.
