@@ -89,11 +89,15 @@ def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
 
 def cmd_total(args: argparse.Namespace) -> int:
     spec = _read_network(args.file)
+    if args.method == "verify" and args.assign is not None:
+        raise netio.AssignmentSyntaxError(
+            "verify compares the exact symbolic tensors; --assign is not allowed")
+    bindings = None if args.assign is None else netio.parse_assignment(args.assign)
+    # Exact bindings: evaluate each entry once, and the route multiplies numbers.
+    evaluated = None if bindings is None else networks.evaluated_network(spec, bindings)
+    prepared = networks.PreparedNetwork(spec if evaluated is None else evaluated, args.max_cells)
     if args.method == "verify":
-        if args.assign is not None:
-            raise netio.AssignmentSyntaxError(
-                "verify compares the exact symbolic tensors; --assign is not allowed")
-        result = networks.verify_totals(spec, max_cells=args.max_cells)
+        result = networks.verify_totals(prepared)
         if result.equal:
             print(f"EQUAL ({result.cells} cells)")
             return 0
@@ -105,14 +109,10 @@ def cmd_total(args: argparse.Namespace) -> int:
             print(f"DIFFER at {key}")
         return 1
     compute = networks.total_direct if args.method == "direct" else networks.total_bmp
-    if args.assign is None:
-        print(netio.serialize_tensor(compute(spec, max_cells=args.max_cells)), end="")
-        return 0
-    bindings = netio.parse_assignment(args.assign)
-    # Exact bindings: evaluate each entry once, and the route multiplies numbers.
-    evaluated = networks.evaluated_network(spec, bindings)
-    tensor = compute(spec if evaluated is None else evaluated, max_cells=args.max_cells)
-    _print_evaluated(tensor, bindings)
+    if bindings is None:
+        print(netio.serialize_tensor(compute(prepared)), end="")
+    else:
+        _print_evaluated(compute(prepared), bindings)
     return 0
 
 

@@ -406,8 +406,8 @@ class PreparedNetwork:
 
     The cell cap is checked after validation and before any activation is
     built: ``max_cells`` bounds the n**d cells of the order-d tensors, and so
-    every activation.  A route given a prepared network therefore makes
-    n**d cells only under the cap it was prepared with.
+    every activation.  It is the one cap: a route prepares a spec under
+    ``DEFAULT_CELL_CAP`` and uses a prepared network as it is.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
@@ -456,25 +456,24 @@ class PreparedNetwork:
                            for h in range(self.arity)] for m in range(self.d)])
 
 
-def _prepared(network: NetworkSpec | PreparedNetwork, max_cells: int) -> PreparedNetwork:
-    """``network`` as it is if prepared already, else the spec prepared under ``max_cells``."""
-    return network if isinstance(network, PreparedNetwork) else PreparedNetwork(network, max_cells)
+def _prepared(network: NetworkSpec | PreparedNetwork) -> PreparedNetwork:
+    """``network`` if prepared already, else the spec prepared under the default cap."""
+    return network if isinstance(network, PreparedNetwork) else PreparedNetwork(network)
 
 
-def node_pipeline(network: NetworkSpec | PreparedNetwork, index: int,
-                  max_cells: int = DEFAULT_CELL_CAP) -> NodePipeline:
+def node_pipeline(network: NetworkSpec | PreparedNetwork, index: int) -> NodePipeline:
     """Run the expansion pipeline for the node at ``index`` (0-based).
 
     Stage order: widen the activation over all earlier nodes' axes, blow a
     feedback axis (skipped for the sink), then pad with the remaining axes
-    up to order d.  ``max_cells`` applies only to a spec.
+    up to order d.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
-        CellCapExceeded: the order-d node tensor would exceed ``max_cells``.
+        CellCapExceeded: a spec's order-d node tensor would exceed ``DEFAULT_CELL_CAP``.
         IndexError: ``index`` is out of range.
     """
-    prepared = _prepared(network, max_cells)
+    prepared = _prepared(network)
     n, d = prepared.arity, prepared.d
     if not 0 <= index < d:
         raise IndexError(f"node index {index} out of range for {d} nodes")
@@ -487,18 +486,16 @@ def node_pipeline(network: NetworkSpec | PreparedNetwork, index: int,
     return NodePipeline(index, activation, widened, blown, forget(blown, range(index + 2, d), n))
 
 
-def node_tensors(network: NetworkSpec | PreparedNetwork,
-                 max_cells: int = DEFAULT_CELL_CAP) -> list[Tensor]:
-    """All order-d node tensors B_0..B_{d-1}; ``max_cells`` applies only to a spec."""
-    prepared = _prepared(network, max_cells)
+def node_tensors(network: NetworkSpec | PreparedNetwork) -> list[Tensor]:
+    """All order-d node tensors B_0..B_{d-1}."""
+    prepared = _prepared(network)
     return [node_pipeline(prepared, i).node_tensor for i in range(prepared.d)]
 
 
-def total_direct(network: NetworkSpec | PreparedNetwork,
-                 max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
+def total_direct(network: NetworkSpec | PreparedNetwork) -> Tensor:
     """Total tensor by the direct definition: per cell, multiply the matching
     activation entry of every node.  This is the oracle the product route is
-    verified against.  ``max_cells`` applies only to a spec.
+    verified against.
 
     Every activation entry is read once per call, through the bounds-checked
     ``Tensor[...]``, into its node's row-major entry row (:func:`_entry_rows`).
@@ -512,7 +509,7 @@ def total_direct(network: NetworkSpec | PreparedNetwork,
     cells without a multiply.  The walk keeps one state, one offset and one
     prefix per node and emits cells row-major.
     """
-    prepared = _prepared(network, max_cells)
+    prepared = _prepared(network)
     n, d = prepared.arity, prepared.d
     rows = _entry_rows(prepared)
     parents = prepared.parent_positions
@@ -551,14 +548,14 @@ def _entry_rows(prepared: PreparedNetwork) -> list[tuple[PolyScalar, ...]]:
     return [tuple(tensor[idx] for idx in tensor.indices()) for tensor in prepared.activations]
 
 
-def total_bmp(network: NetworkSpec | PreparedNetwork, max_cells: int = DEFAULT_CELL_CAP) -> Tensor:
+def total_bmp(network: NetworkSpec | PreparedNetwork) -> Tensor:
     """Total tensor via node tensors and one Bhattacharya-Mesner product.
 
     The factors enter in summand order with the sink's node tensor first,
     i.e. ``P(B_{d-1}, B_0, ..., B_{d-2})``; a single-node network returns its
-    activation vector unchanged.  ``max_cells`` applies only to a spec.
+    activation vector unchanged.
     """
-    bs = node_tensors(network, max_cells)
+    bs = node_tensors(network)
     return summand_ordered_bmp([bs[-1], *bs[:-1]])
 
 
@@ -664,12 +661,10 @@ class VerificationResult(Record):
     first_difference: tuple[tuple[int, ...], PolyScalar, PolyScalar] | None
 
 
-def verify_totals(network: NetworkSpec | PreparedNetwork,
-                  max_cells: int = DEFAULT_CELL_CAP) -> VerificationResult:
-    """Compute both totals from one preparation (``max_cells`` applies only
-    to a spec) and compare them exactly, reporting the first mismatch in
-    row-major index order."""
-    prepared = _prepared(network, max_cells)
+def verify_totals(network: NetworkSpec | PreparedNetwork) -> VerificationResult:
+    """Compute both totals from one preparation and compare them exactly,
+    reporting the first mismatch in row-major index order."""
+    prepared = _prepared(network)
     via_product = total_bmp(prepared)
     direct = total_direct(prepared)
     if direct == via_product:

@@ -25,9 +25,9 @@ All operations are pure; tensors are immutable after construction.
 :func:`forget`, :func:`blow`, :func:`sigma_transpose` and :func:`identitary`
 are index maps: they return views over their input's base cells and copy no
 cell, and a view builds its row-major ``cells`` only when first asked.
-:func:`bmp` is one sweep over the result axes, level by level, that reads only
-its factors' strides and ties.  A tie on a contracted axis fixes the contracted
-index h, so tied-off terms are never visited.  Level j is one row-major list of
+:func:`bmp` is one sweep over the result axes, level by level, that reads its
+factors' strides and reads a tie only where it fixes the contracted index h, so
+tied-off terms are never visited.  Level j is one row-major list of
 products, one per index prefix of length j+1; each factor that does not read a
 free h is multiplied into a level at the deepest result axis it reads, so a
 product that many cells share is made once, and a zero prefix is never
@@ -212,6 +212,12 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Tensor is immutable")
+
+    def __reduce__(self):
+        return Tensor._view, (self.shape, self._base, self._strides, self._ties)
+
     @property
     def order(self) -> int:
         return len(self.shape)
@@ -350,60 +356,54 @@ def bmp(factors: Sequence[Tensor]) -> Tensor:
 
 def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) -> list[PolyScalar]:
     """The product's cells in row-major order, from one sweep over the result axes
-    that reads only the factors' strides and ties.
+    that reads the factors' strides.
 
     A tie between a factor's contracted axis and result axis a zeroes every term
     but h = x[a].  If any factor has such a tie, h is fixed to the smallest such a:
     every factor's stride in its contracted axis moves to axis a, and a cell sums
-    one term.  Otherwise h is free and a cell sums l terms.  Every other tie is a
-    guard, which zeroes the factor's cell unless its two result coordinates agree.
+    one term.  Otherwise h is free and a cell sums l terms.  A factor with any other
+    tie is read through its :attr:`Tensor.cells`, zero wherever the tie zeroes it,
+    and so at every other h if that tie fixed h; the sweep reads no other tie.
 
     Level j is one row-major list of values, one per index prefix ``x[:j+1]``: the
     product of the factors read down to axis j.  Each factor joins at the deepest
-    result axis it reads, by a stride or a guard.  Its guards zero the prefixes
-    where their gaps, built as :attr:`Tensor.cells` builds them, are nonzero.  A
-    factor that does not read h is then multiplied into every prefix by one
-    comprehension over the offsets its strides give, so a product that many cells
-    share is made once; its first cell is taken as it is and a zero cell zeroes
-    the prefix, as :func:`_product` does.  A zero prefix stays ``_ZERO`` and is
-    never multiplied again.  A factor that reads a free h keeps only its strides:
-    each cell's fiber of its l cells along h is sliced from its start offset when
-    the cell is contracted.  Each nonzero cell of the deepest level read ends with
-    :func:`_contract` over the product, once per term, and the fibers, and the
-    axes below that level repeat the cell.
+    result axis its strides read.  A factor that does not read h is multiplied into
+    every prefix by one comprehension over the offsets its strides give, so a
+    product that many cells share is made once; its first cell is taken as it is
+    and a zero cell zeroes the prefix, as :func:`_product` does.  A zero prefix
+    stays ``_ZERO`` and is never multiplied again.  A factor that reads a free h
+    keeps only its strides: each cell's fiber of its l cells along h is sliced from
+    its start offset when the cell is contracted.  Each nonzero cell of the deepest
+    level read ends with :func:`_contract` over the product, once per term, and the
+    fibers, and the axes below that level repeat the cell.
     """
     d = len(shape)
     fixed = min((b if a == c else a for t, c in zip(factors, contracted)
                  for a, b in t._ties if c in (a, b)), default=None)
     joins: list[list] = [[] for _ in range(d)]
     for t, c in zip(factors, contracted):
+        if any({a, b} != {c, fixed} for a, b in t._ties):
+            t = Tensor._view(t.shape, t.cells)
         strides = list(t._strides)
         step, strides[c] = strides[c], 0
         if fixed is not None:
             strides[fixed] += step
             step = 0
-        guards = [(a, b) for a, b in ((fixed if a == c else a, fixed if b == c else b)
-                                      for a, b in t._ties) if a != b]
-        depth = max([a for a, s in enumerate(strides) if s] + [max(guard) for guard in guards],
-                    default=0)
-        joins[depth].append((t._base, strides, step, guards))
+        depth = max((a for a, s in enumerate(strides) if s), default=0)
+        joins[depth].append((t._base, strides, step))
     last = max(j for j, level in enumerate(joins) if level)
 
     values: Iterable[PolyScalar] = (_ONE,)  # the empty prefix
     for j, dim in enumerate(shape[:last + 1]):
         top = shape[:j + 1]
         values = chain.from_iterable(map(repeat, values, repeat(dim)))
-        for base, strides, step, guards in joins[j]:
-            if guards:
-                gaps = zip(*(_offsets(top, [(a == p) - (a == q) for a in range(j + 1)])
-                             for p, q in guards))
-                values = [_ZERO if any(gap) else v for v, gap in zip(values, gaps)]
+        for base, strides, step in joins[j]:
             if not step:
                 cells = map(base.__getitem__, _offsets(top, strides))
                 values = [_ZERO if v is _ZERO or c.is_zero() else c if v is _ONE else v * c
                           for v, c in zip(values, cells)]
 
-    free = [(base, strides, step) for level in joins for base, strides, step, _ in level if step]
+    free = [(base, strides, step) for level in joins for base, strides, step in level if step]
     if free:
         def terms(value: PolyScalar, starts: tuple[int, ...]) -> tuple[Sequence[PolyScalar], ...]:
             fibers = tuple(base[o:o + l * step:step] for (base, _, step), o in zip(free, starts))

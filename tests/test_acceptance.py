@@ -14,8 +14,8 @@ from itertools import permutations, product
 import pytest
 
 from tensordag import (CellCapExceeded, NetworkSpec, NodeSpec, Permutation,
-                       PolyScalar, SourceVector, Tensor, bmp, identitary,
-                       outer_product, parse_network, parse_tensor,
+                       PolyScalar, PreparedNetwork, SourceVector, Tensor, bmp,
+                       identitary, outer_product, parse_network, parse_tensor,
                        serialize_network, serialize_tensor, sigma_transpose,
                        summand_ordered_bmp, node_tensors, total_bmp,
                        total_direct, verify_totals)
@@ -245,7 +245,7 @@ def test_13_performance_guard_and_cell_cap(run_cli, fixtures_dir):
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
     with pytest.raises(CellCapExceeded) as info:
-        total_bmp(spec, max_cells=1000)
+        total_bmp(PreparedNetwork(spec, max_cells=1000))
     assert info.value.order == 10 and info.value.arity == 2 and info.value.cap == 1000
     result = run_cli("total", str(fixtures_dir / "five_node.json"),
                      "--method", "bmp", "--max-cells", "31")

@@ -189,8 +189,8 @@ class TestTotal:
         # fail, exit 1 and name the first differing cell
         real = networks.total_bmp
 
-        def corrupted(spec, max_cells=networks.DEFAULT_CELL_CAP):
-            t = real(spec, max_cells)
+        def corrupted(network):
+            t = real(network)
             cells = list(t.cells)
             cells[1] = cells[1] + 1
             return Tensor(t.shape, cells)
@@ -205,8 +205,8 @@ class TestTotal:
         # corrupt cells 1,2,2 and 2,2,1 of the product route, the later one first
         real = networks.total_bmp
 
-        def corrupted(spec, max_cells=networks.DEFAULT_CELL_CAP):
-            t = real(spec, max_cells)
+        def corrupted(network):
+            t = real(network)
             cells = list(t.cells)
             cells[6] = cells[6] + 1
             cells[3] = cells[3] + 1
@@ -253,11 +253,18 @@ class TestTotal:
                          "--method", "verify", "--assign", "alpha=1,beta=0")
         assert result.code == 2
 
-    def test_cell_cap(self, run_cli, fixtures_dir):
-        result = run_cli("total", str(fixtures_dir / "five_node.json"),
-                         "--method", "bmp", "--max-cells", "31")
-        assert result.code == 2
-        assert "cap" in result.err
+    @pytest.mark.parametrize("argv", [
+        ["--method", "direct"],
+        ["--method", "bmp"],
+        ["--method", "verify"],
+        ["--method", "direct", "--assign", "alpha=1/2,beta=1/3"],
+        ["--method", "bmp", "--assign", "alpha=1/2,beta=1/3"],
+    ], ids=["direct", "bmp", "verify", "direct-assign", "bmp-assign"])
+    def test_cell_cap(self, run_cli, fixtures_dir, argv):
+        result = run_cli("total", str(fixtures_dir / "five_node.json"), *argv,
+                         "--max-cells", "31")
+        assert (result.code, result.out, result.err) == (2, "", (
+            "error: a cubical order-5 tensor over 2 states has 32 cells, above the cap of 31\n"))
 
     def test_method_is_required(self, run_cli, fixtures_dir):
         with pytest.raises(SystemExit):
@@ -889,7 +896,7 @@ def test_difference_too_large_to_print_still_exits_one(run_cli, tmp_path, monkey
     path = tmp_path / "input.json"
     path.write_text(_source_document("1"))
     huge = PolyScalar.constant(10 ** 5000)  # more digits than str() converts
-    monkeypatch.setattr(networks, "verify_totals", lambda spec, max_cells: VerificationResult(
+    monkeypatch.setattr(networks, "verify_totals", lambda network: VerificationResult(
         equal=False, cells=2, first_difference=((1,), huge, huge + 1)))
     result = run_cli("total", str(path), "--method", "verify")
     assert (result.code, result.out, result.err) == (1, "DIFFER at 2\n", "")

@@ -471,13 +471,13 @@ class TestTotals:
     def test_cell_cap_guards_totals_and_node_tensors(self):
         spec = five_node_network()
         with pytest.raises(CellCapExceeded) as info:
-            total_direct(spec, max_cells=31)
+            total_direct(PreparedNetwork(spec, max_cells=31))
         assert info.value.order == 5 and info.value.arity == 2 and info.value.cap == 31
         with pytest.raises(CellCapExceeded):
-            total_bmp(spec, max_cells=31)
+            total_bmp(PreparedNetwork(spec, max_cells=31))
         with pytest.raises(CellCapExceeded):
-            node_tensors(spec, max_cells=31)
-        assert total_direct(spec, max_cells=32).ncells == 32
+            node_tensors(PreparedNetwork(spec, max_cells=31))
+        assert total_direct(PreparedNetwork(spec, max_cells=32)).ncells == 32
 
     def test_the_product_cap_never_refuses_total_bmp(self, monkeypatch):
         # The node tensors have as many cells as the total, so the product's cap,
@@ -647,9 +647,11 @@ class TestOnePreparation:
             return activation_tensor(activation, in_degree, arity)
 
         monkeypatch.setattr(networks, "activation_tensor", counting)
-        with pytest.raises(CellCapExceeded) as info:
-            PreparedNetwork(chain)
-        assert (info.value.order, info.value.cap, built) == (25, 2 ** 24, [])
+        for route in (PreparedNetwork, lambda spec: node_pipeline(spec, 0), node_tensors,
+                      total_direct, total_bmp, verify_totals):
+            with pytest.raises(CellCapExceeded) as info:
+                route(chain)
+            assert (info.value.order, info.value.cap, built) == (25, 2 ** 24, [])
         checks = stochastic_report(chain)
         assert [check.node for check in checks] == chain.node_ids() and len(built) == 25
         assert not any(check.stochastic for check in checks)
@@ -908,7 +910,7 @@ class TestLazyEvaluation:
         while spec.node_count < 12:
             spec = random_dag_network(rng, max_nodes=12, arities=(2,))
         with pytest.raises(CellCapExceeded):
-            total_bmp(spec, max_cells=100)
+            total_bmp(PreparedNetwork(spec, max_cells=100))
         prepared = PreparedNetwork(spec)
         for _ in range(25):
             idx = tuple(rng.randrange(2) for _ in range(12))

@@ -1,6 +1,8 @@
 """Tensor construction, the d-ary product, identitaries, transposes, blow/forget."""
 
+import copy
 import math
+import pickle
 import random
 from itertools import combinations, permutations, product
 
@@ -103,6 +105,29 @@ class TestTensorBasics:
         t = Tensor((2,), [1, 2])
         with pytest.raises(AttributeError):
             t.shape = (3,)
+
+    #: A dense tensor and a view with a forgotten axis and a blown tie.
+    COPIED = {"dense": lambda: Tensor((2, 3), [ALPHA, 0, 2, BETA, "alpha*beta", 1]),
+              "view": lambda: forget(blow(Tensor((2, 3), [ALPHA, 0, 2, BETA, 1, 3])), [1], 2)}
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("kind", sorted(COPIED))
+    def test_a_copy_is_the_same_view(self, kind, round_trip):
+        t = self.COPIED[kind]()
+        copied = round_trip(t)
+        assert copied._cells is None
+        assert (copied._strides, copied._ties) == (t._strides, t._ties)
+        assert copied == t
+
+    @pytest.mark.parametrize("name", ["shape", "_base", "_strides", "_ties", "_cells"])
+    @pytest.mark.parametrize("kind", sorted(COPIED))
+    def test_no_field_can_be_deleted(self, kind, name):
+        t = self.COPIED[kind]()
+        with pytest.raises(AttributeError, match="Tensor is immutable"):
+            delattr(t, name)
+        assert t == self.COPIED[kind]()
 
 
 class TestPermutation:
@@ -726,12 +751,24 @@ def tied_view(inner, a, b):
     return sigma_transpose(blow(inner), Permutation(images))
 
 
+def tie_pairs(shape):
+    """The axis pairs (a, b) of ``shape`` that a tied view can join."""
+    return [(a, b) for a, b in permutations(range(len(shape)), 2) if shape[a] == shape[b]]
+
+
+def untied_shape(shape, a, b):
+    """The shape of the tensor whose ``tied_view`` joining axes a and b has ``shape``."""
+    return [shape[a]] + [shape[axis] for axis in range(len(shape)) if axis not in (a, b)]
+
+
 @st.composite
 def view_tensors(draw, shape):
-    """A tensor of ``shape``: dense, forgotten, transposed, tied or identitary."""
+    """A tensor of ``shape``: dense, forgotten, transposed, tied once or twice, or
+    identitary."""
     d = len(shape)
-    pairs = [(a, b) for a, b in permutations(range(d), 2) if shape[a] == shape[b]]
-    kinds = ["plain", "transposed"] + ["tied"] * bool(pairs)
+    pairs = tie_pairs(shape)
+    twice = [(a, b) for a, b in pairs if tie_pairs(untied_shape(shape, a, b))]
+    kinds = ["plain", "transposed"] + ["tied"] * bool(pairs) + ["twice tied"] * bool(twice)
     if len(set(shape)) == 1 and d > 1:
         kinds.append("identitary")
     kind = draw(st.sampled_from(kinds))
@@ -743,9 +780,13 @@ def view_tensors(draw, shape):
     if kind == "identitary":
         j, k = sorted(draw(st.sampled_from(pairs)))
         return identitary(d, shape[0], j, k)
-    a, b = draw(st.sampled_from(pairs))
-    inner = [shape[a]] + [shape[axis] for axis in range(d) if axis not in (a, b)]
-    return tied_view(draw(plain_tensors(inner)), a, b)
+    if kind == "tied":
+        a, b = draw(st.sampled_from(pairs))
+        return tied_view(draw(plain_tensors(untied_shape(shape, a, b))), a, b)
+    a, b = draw(st.sampled_from(twice))
+    inner = untied_shape(shape, a, b)
+    p, q = draw(st.sampled_from(tie_pairs(inner)))
+    return tied_view(tied_view(draw(plain_tensors(untied_shape(inner, p, q))), p, q), a, b)
 
 
 class TestProductOfViews:
@@ -783,6 +824,10 @@ class TestProductOfViews:
         # factor 0 fixes h to axis 0 and factor 1 to axis 1
         "two ties fix h to different axes": lambda t: [tied_view(t((3, 3)), 1, 0),
                                                        tied_view(t((3, 3)), 2, 1), t((3, 3, 3))],
+        # factor 0 ties its contracted axis 1 to axis 0, which fixes h, and also ties
+        # axes 0 and 2
+        "h fixed by a factor with a second tie": lambda t: [
+            tied_view(tied_view(t((3,)), 0, 1), 0, 1), t((3, 3, 3)), t((3, 3, 3))],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
