@@ -14,11 +14,10 @@ selected by the states of that node's parents and the node's own state.
 The module computes it two independent ways:
 
 * :func:`total_direct` multiplies activation entries in node order - the
-  definition, used as the oracle.  It reads every entry once per call
-  through the bounds-checked ``Tensor[...]`` into one row per node, and its
-  depth-first walk indexes each row by its own Horner code over the
-  parents' states.  Cells that share the states of nodes 0..j share the
-  product of those nodes' entries, which is computed once.
+  definition, used as the oracle.  One recursive call per index prefix
+  extends the prefix's product by node j's entry for each of its states,
+  found in the node's entry row by its own Horner code over the parents'
+  states.
 * :func:`total_bmp` first expands every activation tensor to an order-d node
   tensor (insert missing axes with :func:`~tensordag.tensors.forget`, tie a
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
@@ -405,19 +404,21 @@ class PreparedNetwork:
     against them.
 
     The cell cap is checked after validation and before any activation is
-    built: ``max_cells`` bounds the n**d cells of the order-d tensors, and so
-    every activation.  It is the one cap: a route prepares a spec under
-    ``DEFAULT_CELL_CAP`` and uses a prepared network as it is.
+    built: the n**d cells of the order-d tensors, and so every activation,
+    are bounded by ``max_cells``, or by ``sys.maxsize`` if that is smaller,
+    since no list holds more cells.  It is the one cap: a route prepares a
+    spec under ``DEFAULT_CELL_CAP`` and uses a prepared network as it is.
 
     Raises:
         InvalidNetwork: the spec has validation violations.
-        CellCapExceeded: an order-d tensor would exceed ``max_cells``.
+        CellCapExceeded: an order-d tensor would exceed the cap.
     """
 
     def __init__(self, spec: NetworkSpec, max_cells: int = DEFAULT_CELL_CAP):
         ensure_valid(spec)
-        if spec.arity ** spec.node_count > max_cells:
-            raise CellCapExceeded(spec.node_count, spec.arity, max_cells)
+        cap = min(max_cells, sys.maxsize)
+        if spec.arity ** spec.node_count > cap:
+            raise CellCapExceeded(spec.node_count, spec.arity, cap)
         self.arity = spec.arity
         self.d = spec.node_count
         self.position = {node.id: i for i, node in enumerate(spec.nodes)}
@@ -497,48 +498,41 @@ def total_direct(network: NetworkSpec | PreparedNetwork) -> Tensor:
     activation entry of every node.  This is the oracle the product route is
     verified against.
 
-    Every activation entry is read once per call, through the bounds-checked
-    ``Tensor[...]``, into its node's row-major entry row (:func:`_entry_rows`).
-    Cells that agree on the states of nodes 0..j-1 share the product of those
-    nodes' entries, so one depth-first walk over the nodes in order computes
-    each such prefix once and extends it by node j's entry; the products are
-    those of :meth:`PreparedNetwork.total_direct_cell`, in the same order.  On
-    node j's first state under a prefix the walk finds the entry row's offset,
-    a Horner code over the parents' states times n, and each state s then
-    reads ``row[offset + s]``.  A zero entry makes its whole subtree zero
-    cells without a multiply.  The walk keeps one state, one offset and one
-    prefix per node and emits cells row-major.
+    The cells come out row-major and hold the products of
+    :meth:`PreparedNetwork.total_direct_cell`, in the same order.  Every
+    activation entry is read once per call, through the bounds-checked
+    ``Tensor[...]`` (:func:`_entry_rows`).  Cells that agree on the states of
+    nodes 0..j share the product of those nodes' entries, which is made by
+    one multiply; a zero entry makes its whole subtree zero cells without
+    a multiply.
     """
     prepared = _prepared(network)
     n, d = prepared.arity, prepared.d
     rows = _entry_rows(prepared)
     parents = prepared.parent_positions
     cells: list[PolyScalar] = []
-    states = [-1] * d          # state of each node on the current path, -1 before its first
-    offsets = [0] * d          # offsets[j]: where node j's entries under the path's parents start
-    prefixes = [_ONE] * d      # prefixes[j]: product of the entries of nodes 0..j-1
-    j = 0
-    while 0 <= j < d:
-        state = states[j] = states[j] + 1
-        if state == n:
-            states[j] = -1
-            j -= 1
-            continue
-        if state == 0:
-            code = 0
-            for p in parents[j]:
-                code = code * n + states[p]
-            offsets[j] = code * n
-        entry = rows[j][offsets[j] + state]
-        if entry.is_zero():
-            cells.extend(repeat(_ZERO, n ** (d - 1 - j)))
-            continue
-        value = entry if prefixes[j] is _ONE else prefixes[j] * entry
-        if j == d - 1:
-            cells.append(value)
-        else:
-            prefixes[j + 1] = value
-            j += 1
+    states = [0] * d           # states[j]: node j's state on the current path
+
+    def extend(j: int, prefix: PolyScalar) -> None:
+        """Append the cells under ``prefix``, the product of nodes 0..j-1's entries."""
+        code = 0
+        for p in parents[j]:
+            code = code * n + states[p]
+        for state, entry in enumerate(rows[j][code * n:code * n + n]):
+            if entry.is_zero():
+                cells.extend(repeat(_ZERO, n ** (d - 1 - j)))
+                continue
+            value = entry if prefix is _ONE else prefix * entry
+            if j == d - 1:
+                cells.append(value)
+            else:
+                states[j] = state
+                extend(j + 1, value)
+
+    try:
+        extend(0, _ONE)
+    finally:
+        del extend   # it closes over itself: break the cycle so its cells go with the result
     return Tensor._view((n,) * d, cells)
 
 

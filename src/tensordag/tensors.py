@@ -34,10 +34,9 @@ product that many cells share is made once, and a zero prefix is never
 multiplied.  A factor that reads a free h gives each cell its fiber along h,
 sliced from the factor's base only when the cell is contracted.  ``_contract``
 is the one sum of factor products over h: the sweep ends every nonzero cell
-with it, and so does the network layer's lazy product cell.  The direct route
-reads every activation entry once through the bounds-checked ``Tensor[...]``
-and then indexes its rows by its own Horner code, so the two total routes
-share no index arithmetic.
+with it, and so does the network layer's lazy product cell.  The direct total
+route lives in :mod:`tensordag.networks` and shares no index arithmetic with
+the sweep.
 """
 
 from __future__ import annotations

@@ -266,6 +266,17 @@ class TestTotal:
         assert (result.code, result.out, result.err) == (2, "", (
             "error: a cubical order-5 tensor over 2 states has 32 cells, above the cap of 31\n"))
 
+    def test_a_cap_above_what_a_list_can_index_is_lowered_to_sys_maxsize(self, run_cli,
+                                                                         tmp_path):
+        # 2^70 cells under --max-cells 2^70: refused, not an OverflowError traceback
+        path = tmp_path / "deep.json"
+        path.write_text(_chain_document(["0", "alpha"], *[("alpha", "beta")] * 69))
+        result = run_cli("total", str(path), "--method", "direct",
+                         "--max-cells", str(2 ** 70))
+        assert (result.code, result.out, result.err) == (2, "", (
+            "error: a cubical order-70 tensor over 2 states has 1180591620717411303424 cells,"
+            " above the cap of 9223372036854775807\n"))
+
     def test_method_is_required(self, run_cli, fixtures_dir):
         with pytest.raises(SystemExit):
             run_cli("total", str(fixtures_dir / "chain.json"))

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import tracemalloc
 from itertools import permutations, product
 
@@ -25,6 +26,7 @@ from tensordag import (CellCapExceeded, CycleDetected, ExplicitActivation,
                        sigma_transpose, stochastic_report, summand_ordered_bmp,
                        topological_order, total_bmp, total_direct, validate,
                        verify_totals)
+from tensordag.scalars import _ZERO
 from golden import (ALPHA, BETA, CHAIN_NODE_TENSORS, CHAIN_TOTAL, FIVE_NODE_NODE_TENSORS,
                     FIVE_NODE_TOTAL, SEVERED_TOTAL, TRIANGLE_TOTAL, chain_network,
                     expr_table, five_node_network, random_dag_network,
@@ -479,6 +481,15 @@ class TestTotals:
             node_tensors(PreparedNetwork(spec, max_cells=31))
         assert total_direct(PreparedNetwork(spec, max_cells=32)).ncells == 32
 
+    def test_a_cap_above_what_a_list_can_index_is_lowered_to_sys_maxsize(self):
+        nodes = [NodeSpec("v0", (), SourceVector((PolyScalar.zero(), ALPHA)))]
+        nodes += [NodeSpec(f"v{i}", (f"v{i - 1}",), JukesCantor(ALPHA, BETA))
+                  for i in range(1, 70)]
+        with pytest.raises(CellCapExceeded) as info:
+            PreparedNetwork(NetworkSpec(2, tuple(nodes)), max_cells=2 ** 70)
+        assert (info.value.order, info.value.arity, info.value.cap) == (70, 2, sys.maxsize)
+        assert str(info.value).endswith("above the cap of 9223372036854775807")
+
     def test_the_product_cap_never_refuses_total_bmp(self, monkeypatch):
         # The node tensors have as many cells as the total, so the product's cap,
         # the larger of the default and the largest factor, admits it.
@@ -598,6 +609,38 @@ class TestPrefixSharedDirect:
         assert reads == sum(spec.arity ** (len(node.parents) + 1) for node in spec.nodes) == 86
         assert calls == 8188
         assert total == total_bmp(spec)
+
+    def test_the_deepest_walk_the_default_cap_admits(self):
+        # 24 binary nodes, 2^24 cells: threshold_one over the two predecessors
+        # fires iff either fired, so each pair of source states leaves one nonzero cell
+        nodes = [NodeSpec("v0", (), SourceVector((ALPHA, BETA))),
+                 NodeSpec("v1", (), SourceVector((BETA, ALPHA)))]
+        nodes += [NodeSpec(f"v{i}", (f"v{i - 2}", f"v{i - 1}"), ThresholdOne(ALPHA))
+                  for i in range(2, 24)]
+        spec = NetworkSpec(2, tuple(nodes))
+        direct = total_direct(spec)
+        assert direct.ncells == 2 ** 24 == networks.DEFAULT_CELL_CAP
+        assert direct.cells.count(_ZERO) == 2 ** 24 - 4
+        prepared = PreparedNetwork(spec)
+        for idx in product(range(2), repeat=2):
+            for i in range(2, 24):
+                idx += (max(idx[i - 2], idx[i - 1]),)
+            assert not direct[idx].is_zero(), f"cell {idx}"
+            assert direct[idx] == prepared.total_direct_cell(idx), f"cell {idx}"
+
+    @pytest.mark.parametrize("route", [total_direct, total_bmp])
+    def test_a_route_leaves_no_reference_cycle(self, route):
+        # a cycle would keep a dropped result's cells until the cycle collector runs
+        spec = five_node_network()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            route(spec)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("build,table", GOLDEN_TOTALS)
     def test_direct_route_runs_without_the_product_route(self, build, table, monkeypatch):
