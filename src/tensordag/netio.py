@@ -162,7 +162,6 @@ def parse_network_document(doc: object) -> NetworkSpec:
         raise SchemaError("$.nodes", "expected a non-empty list of node objects")
 
     parsed = _Parsed()
-    ids: list[str] = []
     by_id: dict[str, tuple[list[str], ActivationSpec]] = {}
     for i, raw in enumerate(raw_nodes):
         path = f"$.nodes[{i}]"
@@ -181,7 +180,6 @@ def parse_network_document(doc: object) -> NetworkSpec:
             raise SchemaError(f"{path}.parents", "duplicate parent")
         activation = _parse_activation(raw["activation"], len(parents), arity,
                                        f"{path}.activation", parsed)
-        ids.append(node_id)
         by_id[node_id] = (list(parents), activation)
 
     if "order" in doc:
@@ -191,9 +189,11 @@ def parse_network_document(doc: object) -> NetworkSpec:
         for node_id in order:
             if node_id not in by_id:
                 raise UnknownNodeId(node_id, "in order list")
-        if len(order) != len(ids) or len(set(order)) != len(order):
+        if len(order) != len(by_id) or len(set(order)) != len(order):
             raise SchemaError("$.order", "order must list every node exactly once")
         ids = list(order)
+    else:
+        ids = list(by_id)
 
     position = {node_id: i for i, node_id in enumerate(ids)}
     nodes = []

@@ -23,10 +23,9 @@ The module computes it two independent ways:
   feedback axis with :func:`~tensordag.tensors.blow`, pad the remaining axes)
   and then takes one summand-ordered Bhattacharya-Mesner product with the
   sink's tensor first.  The node tensors are views of the activations that
-  copy no entry.  The product sweeps the result axes level by level, one
-  list of prefix products per level, and multiplies each node's factor into
-  the level of the node's own axis, so it too makes each prefix product
-  once; the blown ties leave it one term per cell.
+  copy no entry.  The product makes each prefix product once, as the direct
+  route does, and never visits a term the blown ties zero; the sweep is
+  described once, at :func:`tensordag.tensors._walk`.
 
 The two results are exactly equal for every valid network; `verify_totals`
 checks that equality cell by cell and is wired to the CLI ``total --method

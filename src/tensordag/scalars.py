@@ -529,18 +529,9 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
     When every operand with names has the same names (a constant has none),
     those are the union and no term is re-keyed.
     """
-    names: tuple[str, ...] = ()
-    count, den, mixed = 0, 1, False
-    for value in values:
-        count += len(value._terms)
-        den = math.lcm(den, value._den)
-        if value._names != names and value._names:
-            if names:
-                mixed = True
-            else:
-                names = value._names
-    if mixed:
-        names = _union(*(value._names for value in values))
+    names = _union(*[value._names for value in values])
+    count = sum([len(value._terms) for value in values])
+    den = math.lcm(*[value._den for value in values])
     if count * (len(names) + 1) > _MAX_KEY_FIELDS:
         raise _too_wide(count, len(names))
     # The first operand's terms are copied at once; the merge loop adds the rest.
@@ -562,8 +553,9 @@ def _sum(values: Sequence[PolyScalar]) -> PolyScalar:
 
 def _product(values: Sequence[PolyScalar]) -> PolyScalar:
     """The product of ``values``, refused where and as multiplying them left to
-    right is.  A leading run of one-term factors is multiplied at once by
-    `_monomial_product`; the factors after it are multiplied in left to right."""
+    right is.  A leading run of one-term factors is multiplied at once: each is
+    re-keyed once to the union of their names, the keys are added and the
+    coefficients multiplied.  The factors after it are multiplied in left to right."""
     run = 0
     for value in values:
         if len(value._terms) != 1:
@@ -575,27 +567,20 @@ def _product(values: Sequence[PolyScalar]) -> PolyScalar:
         # Left to right, a run too wide to hold is refused at the factor that
         # makes it so, with the width of the names up to there.
         if len(names) < _MAX_KEY_FIELDS:
-            result, rest = _monomial_product(values[:run], names), values[run:]
+            top = _FIELD_BITS * len(names)  # the total degree's shift
+            key, numerator, den = 0, 1, 1
+            for value in values[:run]:
+                (moved, coeff), = _rekeyed(value._terms, value._names, names).items()
+                key += moved
+                # Every field stays at most _MAX_EXPONENT, so the next sum cannot carry.
+                if key >> top > _MAX_EXPONENT:
+                    _check_exponents((key,), len(names))
+                numerator *= coeff
+                den *= value._den
+            result, rest = PolyScalar(names, {key: numerator}, den), values[run:]
     for value in rest:
         result = result * value
     return result
-
-
-def _monomial_product(values: Sequence[PolyScalar], names: tuple[str, ...]) -> PolyScalar:
-    """The product of one-term ``values`` over ``names``, the union of their
-    names: each is re-keyed once, the keys are added and the coefficients
-    multiplied."""
-    top = _FIELD_BITS * len(names)  # the total degree's shift
-    key, numerator, den = 0, 1, 1
-    for value in values:
-        (moved, coeff), = _rekeyed(value._terms, value._names, names).items()
-        key += moved
-        # Every field stays at most _MAX_EXPONENT, so the next sum cannot carry.
-        if key >> top > _MAX_EXPONENT:
-            _check_exponents((key,), len(names))
-        numerator *= coeff
-        den *= value._den
-    return PolyScalar(names, {key: numerator}, den)
 
 
 # ---------------------------------------------------------------------------

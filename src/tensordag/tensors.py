@@ -25,18 +25,11 @@ All operations are pure; tensors are immutable after construction.
 :func:`forget`, :func:`blow`, :func:`sigma_transpose` and :func:`identitary`
 are index maps: they return views over their input's base cells and copy no
 cell, and a view builds its row-major ``cells`` only when first asked.
-:func:`bmp` is one sweep over the result axes, level by level, that reads its
-factors' strides and reads a tie only where it fixes the contracted index h, so
-tied-off terms are never visited.  Level j is one row-major list of
-products, one per index prefix of length j+1; each factor that does not read a
-free h is multiplied into a level at the deepest result axis it reads, so a
-product that many cells share is made once, and a zero prefix is never
-multiplied.  A factor that reads a free h gives each cell its fiber along h,
-sliced from the factor's base only when the cell is contracted.  ``_contract``
-is the one sum of factor products over h: the sweep ends every nonzero cell
-with it, and so does the network layer's lazy product cell.  The direct total
-route lives in :mod:`tensordag.networks` and shares no index arithmetic with
-the sweep.
+:func:`bmp` is one sweep over the result axes that makes each product an index
+prefix shares once and never visits a tied-off term; :func:`_walk` describes
+it.  ``_contract`` is the one sum of factor products over h, shared by the
+sweep and the network layer's lazy product cell.  The direct total route lives
+in :mod:`tensordag.networks` and shares no index arithmetic with the sweep.
 """
 
 from __future__ import annotations
@@ -362,7 +355,8 @@ def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) ->
     every factor's stride in its contracted axis moves to axis a, and a cell sums
     one term.  Otherwise h is free and a cell sums l terms.  A factor with any other
     tie is read through its :attr:`Tensor.cells`, zero wherever the tie zeroes it,
-    and so at every other h if that tie fixed h; the sweep reads no other tie.
+    and so at every other h if that tie fixed h; the sweep reads no other tie.  No
+    node tensor of the network layer's product and no text tensor has such a tie.
 
     Level j is one row-major list of values, one per index prefix ``x[:j+1]``: the
     product of the factors read down to axis j.  Each factor joins at the deepest
@@ -374,7 +368,9 @@ def _walk(factors: list[Tensor], contracted: list[int], shape: Shape, l: int) ->
     keeps only its strides: each cell's fiber of its l cells along h is sliced from
     its start offset when the cell is contracted.  Each nonzero cell of the deepest
     level read ends with :func:`_contract` over the product, once per term, and the
-    fibers, and the axes below that level repeat the cell.
+    fibers, and the axes below that level repeat the cell.  The sweep multiplies in
+    axis order, not summand order; polynomials over the rationals commute and have
+    one canonical form, so no value changes.
     """
     d = len(shape)
     fixed = min((b if a == c else a for t, c in zip(factors, contracted)

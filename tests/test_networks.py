@@ -787,6 +787,48 @@ class TestDepthFirstProduct:
         assert total == total_direct(spec)
 
 
+def every_dag(d):
+    """The parent lists of every DAG on nodes 0..d-1 whose arrows run from a lower
+    node to a higher one: every edge subset of {(i, j) : i < j}.  Each DAG on d
+    nodes has a topological order, so each shape appears among them."""
+    pairs = [(i, j) for j in range(d) for i in range(j)]
+    for kept in product((False, True), repeat=len(pairs)):
+        parents = [[] for _ in range(d)]
+        for (i, j), keep in zip(pairs, kept):
+            if keep:
+                parents[j].append(i)
+        yield parents
+
+
+def generic_network(n, parents, rng=None):
+    """The network of ``parents`` whose activation entries are distinct parameters;
+    with ``rng``, about 30% of them are 0 instead."""
+    nodes = []
+    for j, ps in enumerate(parents):
+        entries = tuple(_ZERO if rng and rng.random() < 0.3 else PolyScalar.parameter(f"e{j}_{k}")
+                        for k in range(n ** (len(ps) + 1)))
+        activation = ExplicitActivation(entries) if ps else SourceVector(entries)
+        nodes.append(NodeSpec(f"v{j}", tuple(f"v{i}" for i in ps), activation))
+    return NetworkSpec(n, tuple(nodes))
+
+
+class TestEverySmallDag:
+    """The theorem for every small DAG shape: over distinct parameters, equal totals
+    hold for every activation on that DAG, order and arity, since evaluation is a
+    ring homomorphism.  The copies with zero entries run the zero-skip branches."""
+
+    @pytest.mark.parametrize("n, d", [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 5)])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["generic", "zeros"])
+    def test_the_routes_agree_on_every_dag(self, n, d, zeros):
+        rng = random.Random(n * 10 + d) if zeros else None
+        count = 0
+        for parents in every_dag(d):
+            result = verify_totals(generic_network(n, parents, rng))
+            assert result.equal, (parents, result.first_difference)
+            count += 1
+        assert count == 2 ** (d * (d - 1) // 2)
+
+
 def _peak_over_kept(call):
     """``call()`` and the peak of the memory it allocated over the memory its result keeps."""
     gc.collect()

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +355,19 @@ class TestTerms:
             parse_expr("*".join(names))
         with pytest.raises(TensordagInputError, match="above 9223372036854775807"):
             parse_expr("*".join([half, half, *names]))
+
+
+class TestSums:
+    """An expression sums all of its terms at once."""
+
+    @settings(max_examples=200)
+    @given(factor_texts, st.lists(st.tuples(st.sampled_from("+-"), factor_texts), max_size=5))
+    def test_an_expression_is_the_left_to_right_sum_of_its_terms(self, first, rest):
+        # Values only: the n-ary sum counts its terms before any cancels, so its
+        # width refusal is not the left-to-right one.
+        text = first + "".join(f" {sign} {term}" for sign, term in rest)
+        terms = [parse_expr(term) if sign == "+" else -parse_expr(term) for sign, term in rest]
+        assert parse_expr(text) == reduce(add, terms, parse_expr(first))
 
 
 def _outcome(compute):
