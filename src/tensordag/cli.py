@@ -80,7 +80,9 @@ def cmd_node_tensors(args: argparse.Namespace) -> int:
 
 
 def _print_evaluated(tensor: Tensor, bindings: dict) -> None:
-    # Every cell is evaluated and formatted before printing, so an error prints nothing.
+    # The per-cell path, for bindings that evaluated_network declines: each
+    # symbolic cell is evaluated and formatted before printing, so an error
+    # prints nothing.
     values = (cell.evaluate(bindings) for cell in tensor.cells)
     texts = ["" if value == 0 else repr(value) if isinstance(value, float) else exact_text(value)
              for value in values]
@@ -109,7 +111,7 @@ def cmd_total(args: argparse.Namespace) -> int:
             print(f"DIFFER at {key}")
         return 1
     compute = networks.total_direct if args.method == "direct" else networks.total_bmp
-    if bindings is None:
+    if bindings is None or evaluated is not None:  # evaluated: every cell is a constant
         print(netio.serialize_tensor(compute(prepared)), end="")
     else:
         _print_evaluated(compute(prepared), bindings)

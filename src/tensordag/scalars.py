@@ -25,8 +25,11 @@ first re-keyed to the union of their names.
 The names are exactly those with a nonzero power in some term (constants and
 zero have none), and the denominator has no factor common to all the
 numerators (zero is the empty dict over 1), so two PolyScalars are equal iff
-their names, denominators and term dicts are equal.  Ring operations use
-integer arithmetic only; :meth:`PolyScalar.terms` gives each monomial as
+their names, denominators and term dicts are equal.  A product of two
+one-term operands cancels across, each numerator against the other's
+denominator, and is then in lowest terms and stored as it is; other sums and
+products divide out the common factor.  Ring operations use integer
+arithmetic only; :meth:`PolyScalar.terms` gives each monomial as
 ``(name, power)`` pairs and each coefficient in lowest terms, an ``int`` when
 it is whole.
 
@@ -186,6 +189,16 @@ class PolyScalar:
         self._den = den
 
     @classmethod
+    def _as_given(cls, names: tuple[str, ...], terms: dict[int, int], den: int) -> "PolyScalar":
+        """The polynomial of parts that are already canonical, stored as they are,
+        unchecked: ``den`` has no factor common to all the numerators."""
+        value = object.__new__(cls)
+        value._names = names
+        value._terms = terms
+        value._den = den
+        return value
+
+    @classmethod
     def zero(cls) -> "PolyScalar":
         return cls((), {})
 
@@ -194,7 +207,7 @@ class PolyScalar:
         if type(value) is int:  # every integer literal the parser reads
             return cls((), {0: value} if value else {})
         value = Fraction(value)
-        return cls((), {0: value.numerator} if value else {}, value.denominator)
+        return cls._as_given((), {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def parameter(cls, name: str) -> "PolyScalar":
@@ -252,7 +265,7 @@ class PolyScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar(self._names, _scaled(self._terms, -1), self._den)
+        return PolyScalar._as_given(self._names, _scaled(self._terms, -1), self._den)
 
     def __sub__(self, other: object) -> "PolyScalar":
         rhs = self._coerce(other)
@@ -290,6 +303,14 @@ class PolyScalar:
             key = ka + kb
             if key >> top > _MAX_EXPONENT:
                 _check_exponents((key,), len(names))
+            if den != 1:
+                # Each operand's numerator and denominator are coprime, so
+                # cancelling across leaves the product in lowest terms
+                # (Knuth, TAOCP vol. 2, 4.5.1).
+                da, db = self._den, rhs._den
+                g1, g2 = math.gcd(ca, db), math.gcd(cb, da)
+                return PolyScalar._as_given(names, {key: (ca // g1) * (cb // g2)},
+                                            (da // g2) * (db // g1))
             return PolyScalar(names, {key: ca * cb}, den)
         most = _MAX_KEY_FIELDS // (len(names) + 1)
         out: dict[int, int] = {}
@@ -402,6 +423,9 @@ class PolyScalar:
         if not self._terms:
             return "0"
         names, den = self._names, self._den
+        if not names:  # a constant: its numerator over its denominator
+            numerator = self._terms[0]
+            return str(numerator) if den == 1 else f"{numerator}/{den}"
         pieces: list[str] = []
         for key, numerator in self._ordered():
             monomial, powered = _monomial_text(key, names)

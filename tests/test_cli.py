@@ -569,6 +569,19 @@ class TestEvaluateFirst:
         assert result.code == 0
         assert calls == evaluations  # the per-cell path made one per cell: 2187 and 4096
 
+    @pytest.mark.parametrize("workload", ["poly-n3-d7", "mono-n2-d12"])
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_a_benchmark_document_prints_the_per_cell_values(self, run_cli, tmp_path,
+                                                              monkeypatch, workload, method):
+        doc = _load("docgen", monkeypatch).generate(workload, 1)[0]
+        path = tmp_path / "network.json"
+        path.write_text(doc.text)
+        spec = netio.parse_network(doc.text)
+        bindings = netio.parse_assignment(doc.assign)
+        assert networks.evaluated_network(spec, bindings) is not None  # the evaluate-first path
+        result = run_cli("total", str(path), "--method", method, "--assign", doc.assign)
+        assert (result.code, result.out, result.err) == _evaluated_per_cell(spec, bindings)
+
     @pytest.mark.parametrize("method", ["direct", "bmp"])
     @pytest.mark.parametrize("chain, shape", [
         ([("alpha", "gamma")], "2 x 2"),  # as many entries as cells: evaluated cell by cell

@@ -1,5 +1,8 @@
 """Exact polynomial scalars: ring laws, evaluation, parsing, serialization."""
 
+import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -18,6 +21,11 @@ X = PolyScalar.parameter("x")
 
 
 coefficients = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+#: Nonzero rationals of up to 30-digit numerators over up to 20-digit denominators.
+big_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                          st.integers(1, 10 ** 20))
+#: A one-term polynomial as its coefficient and its powers over a subset of a, b, c.
+one_terms = st.tuples(big_fractions, st.dictionaries(st.sampled_from("abc"), st.integers(1, 5)))
 powers = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 5), max_size=4)
 
 
@@ -399,6 +407,21 @@ class TestSerialization:
     def test_zero(self):
         assert str(PolyScalar.zero()) == "0"
 
+    @pytest.mark.parametrize("number", [0, 1, -1, 7, -12, 10 ** 40, Fraction(3, 8),
+                                        Fraction(-3, 8), Fraction(-(10 ** 30), 7)])
+    def test_a_constant_prints_as_its_number(self, number):
+        assert str(PolyScalar.constant(number)) == str(number)
+
+    @pytest.mark.parametrize("number", [10 ** sys.get_int_max_str_digits(),
+                                        -Fraction(1, 10 ** sys.get_int_max_str_digits())],
+                             ids=["int", "fraction"])
+    def test_a_constant_too_long_to_print_is_refused_as_its_number_is(self, number):
+        with pytest.raises(TensordagInputError) as exact:
+            scalars.exact_text(number)
+        with pytest.raises(TensordagInputError) as printed:
+            str(PolyScalar.constant(number))
+        assert str(printed.value) == str(exact.value)
+
     def test_a_leading_negative_power_keeps_its_unit(self):
         # "-alpha^2" would parse as (-alpha)^2
         assert str(-ALPHA ** 2) == "-1*alpha^2"
@@ -460,6 +483,30 @@ class TestCanonicalForm:
     def test_whole_coefficients_come_back_as_ints(self):
         coefficient = parse_expr("1/2*alpha + 1/2*alpha + 1/4").terms()[0][1]
         assert coefficient == 1 and type(coefficient) is int
+
+    @settings(max_examples=300)
+    @given(one_terms, one_terms)
+    def test_a_one_term_product_is_canonical(self, x, y):
+        (fx, px), (fy, py) = x, y
+        left, right = PolyScalar.monomial(fx, px), PolyScalar.monomial(fy, py)
+        _assert_canonical(left * right, PolyScalar.monomial(fx * fy, Counter(px) + Counter(py)))
+        _assert_canonical(-left, PolyScalar.monomial(-fx, px))
+
+    @settings(max_examples=300)
+    @given(big_fractions, big_fractions)
+    def test_a_constant_product_is_canonical(self, q1, q2):
+        _assert_canonical(PolyScalar.constant(q1) * PolyScalar.constant(q2),
+                          PolyScalar.constant(q1 * q2))
+        _assert_canonical(-PolyScalar.constant(q1), PolyScalar.constant(-q1))
+
+
+def _assert_canonical(value: PolyScalar, expected: PolyScalar) -> None:
+    """``value`` is stored as ``expected``, in lowest terms, and reads back from its text."""
+    assert value == expected  # compares the denominators and numerators field by field
+    assert hash(value) == hash(expected)
+    (numerator,) = value._terms.values()
+    assert value._den > 0 and math.gcd(numerator, value._den) == 1
+    assert parse_expr(str(value)) == value
 
 
 class TestPowerGuards:
