@@ -566,36 +566,37 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
     could print or refuse something else, or would cost no more.
 
     Evaluation at a point is a ring homomorphism, so either route's total of
-    the result holds the symbolic total's cells evaluated.  Each distinct
-    entry with a parameter is evaluated once; constant entries, plain ints
-    and Fractions among them, are kept as they are.  The result is None when:
+    the result holds the symbolic total's cells evaluated, and a spec whose
+    entries name no parameter is returned as it is.  Otherwise each distinct
+    entry with a parameter is evaluated once, and the result is None when:
 
-    * a binding is a float, since float products and sums do not associate;
-    * an entry names a parameter with no binding, which the symbolic total
-      reports only where the entry is not multiplied by zero;
+    * a name such an entry uses is unbound, which the symbolic total reports
+      only where the entry is not multiplied by zero, or bound to a float,
+      since float products and sums do not associate;
     * the nodes' largest term sizes, a term's size being the sum of
       ``_size_bits(binding) * power`` over its parameters, add up to over
       ``_MAX_POWER_BITS``.  A term of a total cell is a product of one term
       per node, so under that bound no term of a cell, nor of an entry, can
       be refused;
     * the activations list at least as many entries as the total has
-      cells, or none with a parameter.  An entry's evaluation costs about
-      what a cell's does, so evaluating first would then save nothing.
+      cells.  An entry's evaluation costs about what a cell's does, so
+      evaluating first would then save nothing.
     """
-    if any(isinstance(value, float) for value in bindings.values()):
-        return None
     node_entries: list[list[PolyScalar]] = [[] for _ in spec.nodes]
     for node, entries in zip(spec.nodes, node_entries):
         map_entries(node.activation, entries.append)
+    symbolic = {entry for entries in node_entries for entry in entries
+                if not isinstance(entry, (int, Fraction)) and entry.parameters()}
+    if not symbolic:
+        return spec
+    used = set().union(*(entry.parameters() for entry in symbolic))
+    if any(name not in bindings or isinstance(bindings[name], float) for name in used):
+        return None
     # The spec is not validated yet: the power is taken only once arity <= total.
     total = sum(map(len, node_entries))
     if total >= spec.arity and total >= spec.arity ** spec.node_count:
         return None
-    symbolic = {entry for entries in node_entries for entry in entries
-                if not isinstance(entry, (int, Fraction)) and entry.parameters()}
-    if not symbolic or any(not entry.parameters() <= bindings.keys() for entry in symbolic):
-        return None
-    sizes = {name: _size_bits(value) for name, value in bindings.items()}
+    sizes = {name: _size_bits(bindings[name]) for name in used}
     largest = {entry: max(sum(sizes[name] * power for name, power in mono)
                           for mono, _ in entry.terms()) for entry in symbolic}
     if sum(max((largest.get(entry, 0) for entry in entries), default=0)

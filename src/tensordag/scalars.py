@@ -74,6 +74,9 @@ _MAX_POWER_TERMS = 1 << 10
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
+#: The packed key of one name to the first power, over that one name.
+_PARAMETER_KEY = 1 << _FIELD_BITS | 1
+
 #: Largest power of one parameter: the sum of two such powers still fits
 #: its field, so adding two keys never carries into the next field.
 _MAX_EXPONENT = (1 << _FIELD_BITS - 1) - 1
@@ -211,7 +214,14 @@ class PolyScalar:
 
     @classmethod
     def parameter(cls, name: str) -> "PolyScalar":
-        return cls((name,), {1 << _FIELD_BITS | 1: 1})
+        """The parameter ``name``: an ASCII letter or underscore, then ASCII
+        letters, digits and underscores, the identifiers that :func:`parse_expr`
+        reads.  Any other name is refused with a :class:`TensordagInputError`."""
+        if _NAME.fullmatch(name) is None:
+            raise TensordagInputError(
+                f"bad parameter name {name!r}: expected an ASCII letter or underscore,"
+                " then ASCII letters, digits and underscores")
+        return cls((name,), {_PARAMETER_KEY: 1})
 
     @classmethod
     def monomial(cls, coeff: int | Fraction, powers: Mapping[str, int]) -> "PolyScalar":
@@ -389,8 +399,6 @@ class PolyScalar:
             TensordagInputError: the exact powers in one term would together
                 need over _MAX_POWER_BITS bits, or a float result overflows.
         """
-        if not self._names:  # zero or a constant: the loop's value, without it
-            return _reduced(self._terms.get(0, 0), self._den)
         sizes = {name: _size_bits(assignment[name]) for name in self._names if name in assignment}
         total: int | Fraction | float = 0
         try:
@@ -724,7 +732,8 @@ class _Parser:
         if match is None:
             raise self.fail("an integer, identifier, '(' or '-'")
         self.pos = match.end()
-        return PolyScalar.parameter(match.group())
+        # PolyScalar.parameter without its check: the name has just matched _NAME
+        return PolyScalar((match.group(),), {_PARAMETER_KEY: 1})
 
 
 def parse_expr(text: str) -> PolyScalar:

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import runpy
 import subprocess
 import sys
 import time
@@ -422,6 +423,20 @@ class TestParserPerCommand:
         assert outcome[0] == code
         assert outcome == _whole_parser_outcome(argv[1:])
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (["order", FIVE_NODE], 0, "b,c,d,e,a\n"),
+        (["total", FIVE_NODE, "--method", "direct", "--max-cells", "31"], 2, ""),
+    ], ids=["order", "refused"])
+    @pytest.mark.parametrize("start", [cli.entry,
+                                       lambda: runpy.run_module("tensordag", run_name="__main__")],
+                             ids=["console-script", "python-m"])
+    def test_the_program_exits_with_mains_code(self, monkeypatch, capsys, start, argv, code, out):
+        monkeypatch.setattr(sys, "argv", ["tensordag", *argv])
+        with pytest.raises(SystemExit) as info:
+            start()
+        assert info.value.code == code
+        assert capsys.readouterr().out == out
+
 
 class TestOneNetworkCheck:
     """``PreparedNetwork`` is the one validity check: the command line adds none."""
@@ -612,6 +627,54 @@ class TestEvaluateFirst:
         assert (result.code, result.out) == (2, "")
         assert result.err == ("error: an exact power of at least 2000000 bits is too large"
                               " to compute (the limit is 1048576)\n")
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_a_network_without_parameters_prints_as_computed(self, run_cli, tmp_path,
+                                                             monkeypatch, method):
+        # Integer and rational entries under a Jukes-Cantor node and a threshold node:
+        # the total is its own value, whatever the bindings.
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"arity": 2, "nodes": [
+            {"id": "b", "activation": {"type": "vector", "entries": ["1/2", "3"]}},
+            {"id": "c", "parents": ["b"], "activation": {
+                "type": "jukes_cantor", "alpha": "2/3", "beta": "-5"}},
+            {"id": "a", "parents": ["b", "c"], "activation": {
+                "type": "threshold_one", "alpha": "7/4"}},
+        ]}))
+        unassigned = run_cli("total", str(path), "--method", method)
+        assert unassigned.code == 0 and "1,1,1 = 7/12\n" in unassigned.out
+
+        def refused(self, bindings):
+            raise AssertionError("a parameter-free total is evaluated")
+
+        monkeypatch.setattr(PolyScalar, "evaluate", refused)
+        for assign in ("alpha=1/2,beta=1/3", "alpha=0.5", ""):
+            assert run_cli("total", str(path), "--method", method, "--assign", assign) \
+                == unassigned, assign
+
+    @pytest.mark.parametrize("method", ["direct", "bmp"])
+    def test_a_float_bound_only_to_an_unused_name_evaluates_first(self, run_cli, tmp_path,
+                                                                 monkeypatch, method):
+        document = _chain_document(["alpha", "beta"], ("alpha", "beta"), ("1/2", "alpha*beta"))
+        path = tmp_path / "network.json"
+        path.write_text(document)
+        spec = netio.parse_network(document)
+        bindings = {"alpha": Fraction(1, 2), "beta": Fraction(-1, 3), "gamma": 0.5}
+        assert networks.evaluated_network(spec, bindings) is not None
+        expected = _evaluated_per_cell(spec, bindings)
+        calls = 0
+        evaluate = PolyScalar.evaluate
+
+        def counting(self, bindings):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(PolyScalar, "evaluate", counting)
+        result = run_cli("total", str(path), "--method", method,
+                         "--assign", "alpha=1/2,beta=-1/3,gamma=0.5")
+        assert (result.code, result.out, result.err) == expected
+        assert calls == 3  # alpha, beta and alpha*beta; the per-cell path made one per cell
 
     @pytest.mark.parametrize("method", ["direct", "bmp"])
     def test_float_bindings_evaluate_each_cell(self, run_cli, tmp_path, method):

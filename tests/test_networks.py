@@ -251,6 +251,11 @@ class TestValidate:
         ))
         assert "ParentOrder" in {v.code for v in validate(spec)}
 
+    def test_an_activation_outside_the_families_is_reported(self):
+        spec = NetworkSpec(2, (NodeSpec("x", (), "alpha"),))
+        assert [(v.code, v.node, v.message) for v in validate(spec)] == \
+            [("FamilyArityMismatch", "x", "unknown activation str")]
+
     def test_arity_below_two(self):
         spec = NetworkSpec(1, (NodeSpec("x", (), SourceVector((ALPHA,))),))
         assert "ArityOutOfRange" in {v.code for v in validate(spec)}
@@ -299,6 +304,10 @@ class TestTopologicalOrder:
     def test_unknown_edge_endpoint(self):
         with pytest.raises(ValueError):
             topological_order(["a"], [("a", "phantom")])
+
+    def test_repeated_id(self):
+        with pytest.raises(ValueError, match="node ids must be unique"):
+            topological_order(["a", "b", "a"], [("a", "b")])
 
 
 class TestNodePipelines:
@@ -1073,8 +1082,8 @@ class TestEvaluatedNetwork:
     def test_none_where_evaluating_first_saves_no_evaluation(self):
         bindings = {"alpha": 1, "beta": 2}
         three = PolyScalar.constant(3)
-        assert networks.evaluated_network(self.chain((ZERO, three), (three, ZERO), (three, three)),
-                                          bindings) is None
+        constants = self.chain((ZERO, three), (three, ZERO), (three, three))
+        assert networks.evaluated_network(constants, bindings) is constants  # its own value
         # as many entries as cells
         two_nodes = NetworkSpec(2, self.chain((ALPHA, BETA), (ALPHA, BETA)).nodes[:2])
         assert networks.evaluated_network(two_nodes, bindings) is None

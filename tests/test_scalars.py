@@ -121,6 +121,19 @@ class TestArithmeticExamples:
         assert p.parameters() == {"alpha", "beta"}
         assert p.total_degree() == 3
 
+    def test_zero_has_degree_zero_and_is_false(self):
+        assert PolyScalar.zero().total_degree() == 0
+        assert [bool(PolyScalar.zero()), bool(PolyScalar.constant(0)), bool(ALPHA - 1)] == \
+            [False, False, True]
+
+    @pytest.mark.parametrize("other", ["x", 0.5, None])
+    def test_other_types_are_no_operands(self, other):
+        for operation in (add, mul, lambda p, q: p - q):
+            for left, right in ((ALPHA, other), (other, ALPHA)):
+                with pytest.raises(TypeError):
+                    operation(left, right)
+        assert (ALPHA == other, other == ALPHA, ALPHA != other) == (False, False, True)
+
 
 class TestEvaluation:
     def test_single_parameter(self):
@@ -268,6 +281,15 @@ class TestParsing:
     def test_names_take_digits_and_underscores(self):
         assert parse_expr("a_1*B2") == PolyScalar.parameter("a_1") * PolyScalar.parameter("B2")
         assert parse_expr("_x") == PolyScalar.parameter("_x")
+
+    @pytest.mark.parametrize("name", ["", "x-y", "a b", "1x", "\u03b1"])
+    def test_a_name_outside_the_grammar_is_refused(self, name):
+        # its text would not parse back to it: "" printed as 1, and "x-y" parsed as x - y
+        for build in (PolyScalar.parameter, lambda name: PolyScalar.monomial(2, {name: 1})):
+            with pytest.raises(TensordagInputError) as info:
+                build(name)
+            assert str(info.value) == (f"bad parameter name {name!r}: expected an ASCII letter"
+                                       " or underscore, then ASCII letters, digits and underscores")
 
     @given(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True))
     def test_every_name_of_the_grammar_parses_to_one_parameter(self, name):
@@ -517,6 +539,11 @@ class TestPowerGuards:
             parse_expr("(a+b+c+d+e+f)^8")
         with pytest.raises(TensordagInputError, match="over 1024 terms"):
             parse_expr("(a+b+c)^100")
+
+    @pytest.mark.parametrize("exponent", [-1, 0.5, Fraction(2), "2"])
+    def test_an_exponent_is_a_nonnegative_int(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            ALPHA ** exponent
 
     def test_bit_bound_is_unchanged(self):
         assert parse_expr("(1/2*alpha)^1048576") == Fraction(1, 2 ** 1_048_576) * ALPHA ** 1_048_576

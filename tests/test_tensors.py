@@ -101,6 +101,18 @@ class TestTensorBasics:
         assert Tensor.vector([ALPHA]) == Tensor.vector([parse_expr("alpha")])
         assert Tensor.vector([ALPHA]) != Tensor.vector([BETA])
 
+    def test_a_tensor_equals_no_other_type(self):
+        t = Tensor.vector([ALPHA])
+        assert (t == ALPHA, t == [ALPHA], t == "alpha", t != "alpha") == (False, False, False, True)
+
+    @pytest.mark.parametrize("cell", [0.5, None, [1]])
+    def test_a_cell_is_a_number_polynomial_or_text(self, cell):
+        with pytest.raises(TypeError, match=f"cannot use {type(cell).__name__} as a tensor cell"):
+            Tensor((2,), [1, cell])
+
+    def test_repr_counts_nonzero_cells(self):
+        assert repr(Tensor((2, 3), [ALPHA, 0, 2, 0, 0, 1])) == "<Tensor 2 x 3, 3 nonzero cells>"
+
     def test_immutability(self):
         t = Tensor((2,), [1, 2])
         with pytest.raises(AttributeError):
@@ -525,6 +537,10 @@ class TestOuterProduct:
     def test_requires_vectors(self):
         with pytest.raises(OrderMismatch):
             outer_product([Tensor.from_nested([[1, 2], [3, 4]])])
+
+    def test_requires_a_vector(self):
+        with pytest.raises(OrderMismatch, match="at least one vector"):
+            outer_product([])
 
 
 # Reference equivalence: each operation against the per-cell formula in its
