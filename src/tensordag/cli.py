@@ -95,7 +95,7 @@ def cmd_total(args: argparse.Namespace) -> int:
         raise netio.AssignmentSyntaxError(
             "verify compares the exact symbolic tensors; --assign is not allowed")
     bindings = None if args.assign is None else netio.parse_assignment(args.assign)
-    # Exact bindings: evaluate each entry once, and the route multiplies numbers.
+    # Evaluate each parameter entry once where that is safe, and the route multiplies numbers.
     evaluated = None if bindings is None else networks.evaluated_network(spec, bindings)
     prepared = networks.PreparedNetwork(spec if evaluated is None else evaluated, args.max_cells)
     if args.method == "verify":

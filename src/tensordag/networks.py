@@ -561,9 +561,10 @@ def map_entries(activation: ActivationSpec,
 
 
 def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | None:
-    """``spec`` with every activation entry replaced by its value at exact
-    ``bindings``, or None where evaluating the symbolic total cell by cell
-    could print or refuse something else, or would cost no more.
+    """``spec`` with each parameter entry replaced by its value at
+    ``bindings``, ``spec`` itself when no entry names a parameter, or None
+    where evaluating the symbolic total cell by cell could print or refuse
+    something else, or would cost no more.
 
     Evaluation at a point is a ring homomorphism, so either route's total of
     the result holds the symbolic total's cells evaluated, and a spec whose

@@ -74,9 +74,6 @@ _MAX_POWER_TERMS = 1 << 10
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
-#: The packed key of one name to the first power, over that one name.
-_PARAMETER_KEY = 1 << _FIELD_BITS | 1
-
 #: Largest power of one parameter: the sum of two such powers still fits
 #: its field, so adding two keys never carries into the next field.
 _MAX_EXPONENT = (1 << _FIELD_BITS - 1) - 1
@@ -221,7 +218,7 @@ class PolyScalar:
             raise TensordagInputError(
                 f"bad parameter name {name!r}: expected an ASCII letter or underscore,"
                 " then ASCII letters, digits and underscores")
-        return cls((name,), {_PARAMETER_KEY: 1})
+        return cls((name,), {1 << _FIELD_BITS | 1: 1})
 
     @classmethod
     def monomial(cls, coeff: int | Fraction, powers: Mapping[str, int]) -> "PolyScalar":
@@ -732,8 +729,7 @@ class _Parser:
         if match is None:
             raise self.fail("an integer, identifier, '(' or '-'")
         self.pos = match.end()
-        # PolyScalar.parameter without its check: the name has just matched _NAME
-        return PolyScalar((match.group(),), {_PARAMETER_KEY: 1})
+        return PolyScalar.parameter(match.group())
 
 
 def parse_expr(text: str) -> PolyScalar:

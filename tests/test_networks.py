@@ -1079,11 +1079,14 @@ class TestEvaluatedNetwork:
                     for cell in total_direct(spec).cells]
         assert list(total_direct(evaluated).cells) == expected
 
-    def test_none_where_evaluating_first_saves_no_evaluation(self):
-        bindings = {"alpha": 1, "beta": 2}
+    def test_a_network_without_parameters_is_its_own_value(self):
         three = PolyScalar.constant(3)
         constants = self.chain((ZERO, three), (three, ZERO), (three, three))
-        assert networks.evaluated_network(constants, bindings) is constants  # its own value
+        for bindings in ({"alpha": 1, "beta": 2}, {"alpha": 0.5}, {}):
+            assert networks.evaluated_network(constants, bindings) is constants
+
+    def test_none_where_evaluating_first_saves_no_evaluation(self):
+        bindings = {"alpha": 1, "beta": 2}
         # as many entries as cells
         two_nodes = NetworkSpec(2, self.chain((ALPHA, BETA), (ALPHA, BETA)).nodes[:2])
         assert networks.evaluated_network(two_nodes, bindings) is None
