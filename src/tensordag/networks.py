@@ -567,8 +567,7 @@ def evaluated_network(spec: NetworkSpec, bindings: Assignment) -> NetworkSpec | 
     something else, or would cost no more.
 
     Evaluation at a point is a ring homomorphism, so either route's total of
-    the result holds the symbolic total's cells evaluated, and a spec whose
-    entries name no parameter is returned as it is.  Otherwise each distinct
+    the result holds the symbolic total's cells evaluated.  Each distinct
     entry with a parameter is evaluated once, and the result is None when:
 
     * a name such an entry uses is unbound, which the symbolic total reports
